@@ -213,6 +213,28 @@ class FactorizedGft:
 
     @classmethod
     def from_dict(cls, data: dict) -> FactorizedGft:
+        """Rebuild a saved transform; PlanMismatch if the data is not one.
+
+        The version must be GFT_VERSION and the stored plan hash must match
+        the stored plan; a missing or mistyped field is reported the same way.
+        """
+        try:
+            version = data["version"]
+            if version != GFT_VERSION:
+                raise PlanMismatch(
+                    f"transform file version {version!r}, expected {GFT_VERSION}"
+                )
+            fact = cls._from_dict(data)
+        except (KeyError, TypeError) as exc:
+            raise PlanMismatch(
+                f"malformed transform file ({type(exc).__name__}: {exc})"
+            ) from exc
+        if fact.plan_hash != fact.plan.content_hash():
+            raise PlanMismatch("transform file plan_hash does not match its plan")
+        return fact
+
+    @classmethod
+    def _from_dict(cls, data: dict) -> FactorizedGft:
         def f64(a):
             return np.asarray(a, dtype=np.float64)
 

@@ -418,7 +418,9 @@ def _solve_roots(d, zeta, max_iter: int = 100):
     """All m roots of 1 + sum zeta_i/(d_i - mu), d strictly ascending, zeta > 0.
 
     Returns (origins, tau) with root_j = d[origins[j]] + tau[j]; roots come
-    out bracket-sorted. Vectorized over roots; bisection-safeguarded.
+    out bracket-sorted. Vectorized over roots; bisection-safeguarded. Raises
+    BracketFailure if any root is still uncertified after max_iter model
+    steps and 100 bisection sweeps.
     """
     m = d.size
     if m == 0:
@@ -467,7 +469,10 @@ def _solve_roots(d, zeta, max_iter: int = 100):
     # residual floor: per-term rounding plus pairwise-summation growth; a
     # threshold below this stalls every root into bisection at large m
     resid_tol = 8.0 * _EPS * (2.0 + np.log2(m))
-    for sweep in range(max_iter + 100):
+    sweeps = max_iter + 100
+    # one pass more than there are sweeps, so the last sweep's iterates are
+    # certified before any root is declared unconverged
+    for sweep in range(sweeps + 1):
         scale = 1.0 + np.abs(psi) + np.abs(phi)
         resid_ok = np.abs(f) <= resid_tol * scale
         width = hi - lo
@@ -475,6 +480,11 @@ def _solve_roots(d, zeta, max_iter: int = 100):
         done |= resid_ok | width_ok
         if np.all(done):
             break
+        if sweep == sweeps:
+            raise BracketFailure(
+                f"{int(np.sum(~done))} of {m} secular roots uncertified "
+                f"after {sweeps} sweeps"
+            )
         act = np.flatnonzero(~done)
         if sweep < max_iter:
             step = _model_step(

@@ -10,7 +10,9 @@ resistances are available as the small-n oracle.
 from __future__ import annotations
 
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,13 @@ from .errors import (
 from .graph import Graph, Laplacian, build_laplacian
 
 JL_MIN_DIM = 20
+# widest column block of one resistance-sketch PCG solve. Every CG column
+# evolves on its own (per-column step sizes, axis-0 reductions), so the
+# width moves speed and memory, never bits; 64 columns keep a block's work
+# arrays small and give every CPU blocks to solve. Blocks are split evenly
+# below this width: a 1-column block would reduce as a contiguous vector
+# (pairwise sums) and change the rounding.
+_SKETCH_COLS = 64
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -77,6 +86,8 @@ def _jacobi_block_pcg(lap: sp.csr_matrix, rhs: np.ndarray, tol: float, maxiter: 
     The Laplacian is singular (constant null space on a connected graph);
     right-hand sides must be orthogonal to 1 and search directions are kept
     there, which fixes the solution up to an irrelevant constant shift.
+    Returns the solution and the number of columns still above tol after
+    maxiter iterations (0 when every column converged).
     """
     n, k = rhs.shape
     diag = lap.diagonal()
@@ -95,7 +106,7 @@ def _jacobi_block_pcg(lap: sp.csr_matrix, rhs: np.ndarray, tol: float, maxiter: 
         rn = np.linalg.norm(r, axis=0)
         active = rn > tol * bnorm
         if not np.any(active):
-            return x
+            return x, 0
         q = lap @ p
         pq = np.einsum("ij,ij->j", p, q)
         alpha = np.where(active & (pq > 0.0), rz / np.where(pq == 0.0, 1.0, pq), 0.0)
@@ -108,11 +119,19 @@ def _jacobi_block_pcg(lap: sp.csr_matrix, rhs: np.ndarray, tol: float, maxiter: 
         p = z + beta[None, :] * p
         rz = rz_new
     rn = np.linalg.norm(r, axis=0) / bnorm
-    raise SolverNotConverged(f"block PCG: {int(np.sum(rn > tol))} columns above tol")
+    return x, int(np.sum(rn > tol))
 
 
 def jl_dimension(n: int, eps_jl: float) -> int:
     return max(JL_MIN_DIM, math.ceil(24.0 * math.log(max(n, 2)) / eps_jl**2))
+
+
+def _sketch_workers() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def estimate_resistances(
@@ -138,19 +157,48 @@ def estimate_resistances(
         req = [(int(u), int(v)) for u, v, *_ in edges]
     k = jl_dimension(g.n, eps_jl)
     rng = np.random.default_rng(seed)
-    num_e = g.num_edges
-    signs = (rng.integers(0, 2, size=(num_e, k)).astype(np.float64) * 2.0 - 1.0)
+    signs = rng.integers(0, 2, size=(g.num_edges, k)).astype(np.float64)
+    signs *= 2.0
+    signs -= 1.0
     signs /= math.sqrt(k)
+    # rows of B_w have +sqrt(w) at u and -sqrt(w) at v; Y^T = B_w^T S. Row i
+    # of B_w^T lists +sqrt(w) for the edges with u = i, then -sqrt(w) for
+    # those with v = i, each in edge order: its product then sums every entry
+    # of Y^T in the order of np.add.at over u and then v, bit for bit.
+    heads = np.concatenate([g.uu, g.vv])
+    order = np.argsort(heads, kind="stable")
     root_w = np.sqrt(g.ww)
-    # rows of B_w have +sqrt(w) at u and -sqrt(w) at v; Y^T = B_w^T S
-    yt = np.zeros((g.n, k))
-    np.add.at(yt, g.uu, root_w[:, None] * signs)
-    np.add.at(yt, g.vv, -root_w[:, None] * signs)
-    lap = build_laplacian(g).matrix
-    sol = _jacobi_block_pcg(lap, yt, tol=tol, maxiter=maxiter)
-    vals = np.array(
-        [float(np.sum((sol[u] - sol[v]) ** 2)) for u, v in req]
+    edge = np.arange(g.num_edges)
+    bt = sp.csr_matrix(
+        (
+            np.concatenate([root_w, -root_w])[order],
+            np.concatenate([edge, edge])[order],
+            np.searchsorted(heads[order], np.arange(g.n + 1)),
+        ),
+        shape=(g.n, g.num_edges),
     )
+    sol = bt @ signs
+    del signs
+    lap = build_laplacian(g).matrix
+
+    # each column block of Y^T is solved and overwritten by its solution in
+    # place, so no n x k work array exists beside it
+    def solve(cols: slice) -> int:
+        x, unconverged = _jacobi_block_pcg(lap, sol[:, cols], tol=tol, maxiter=maxiter)
+        sol[:, cols] = x
+        return unconverged
+
+    nb = -(-k // _SKETCH_COLS)
+    blocks = [slice(k * i // nb, k * (i + 1) // nb) for i in range(nb)]
+    with ThreadPoolExecutor(max_workers=min(_sketch_workers(), len(blocks))) as pool:
+        unconverged = sum(pool.map(solve, blocks))
+    if unconverged:
+        raise SolverNotConverged(
+            f"block PCG: {unconverged} of {k} columns above tol after {maxiter} iterations"
+        )
+    ends = np.array(req, dtype=np.int64).reshape(-1, 2)
+    diff = sol[ends[:, 0]] - sol[ends[:, 1]]
+    vals = np.sum(diff * diff, axis=1)
     return ResistanceEstimate(
         edges=req, values=vals, projection_dim=k, epsilon_jl=eps_jl
     )

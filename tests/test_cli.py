@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,42 @@ class TestFilterCmd:
              "--signal", str(sig), "--out", str(tmp_path / "y.csv")]
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("drop_key", "malformed transform file"),
+            ("plan_hash", "plan_hash does not match"),
+            ("version", "version 99"),
+            ("cut_bytes", "error:"),
+        ],
+    )
+    def test_bad_transform_file_exit_two(self, tmp_path, p3_file, capsys, damage, message):
+        fpath = Path(self._factorize(tmp_path, p3_file))
+        text = fpath.read_text()
+        data = json.loads(text)
+        if damage == "drop_key":
+            del data["history"][0]["steps"][0]["zhat"]
+        elif damage == "plan_hash":
+            data["plan_hash"] = "0" * 16
+        elif damage == "version":
+            data["version"] = 99
+        if damage == "cut_bytes":
+            fpath.write_text(text[: len(text) // 2])
+        else:
+            fpath.write_text(json.dumps(data))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kind": "unit"}))
+        sig = tmp_path / "x.csv"
+        np.savetxt(sig, np.zeros((3, 1)), delimiter=",")
+        capsys.readouterr()
+        code = main(
+            ["filter", "--factorization", str(fpath), "--config", str(cfg),
+             "--signal", str(sig), "--out", str(tmp_path / "y.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
 
 
 class TestSparsifyCmd:

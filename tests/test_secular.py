@@ -140,6 +140,17 @@ class TestSolveSecular:
         with pytest.raises(BracketFailure):
             solve_secular(np.array([0.0, 1.0]), np.array([1.0, 0.0]), 1.0)
 
+    def test_uncertified_roots_raise(self, monkeypatch):
+        # zero tolerances certify only exact zeros and collapsed brackets, so
+        # some roots stay open through every sweep and the cap is reached
+        rng = np.random.default_rng(4)
+        lam = np.sort(rng.uniform(0.0, 4.0, 40))
+        z = rng.standard_normal(40)
+        monkeypatch.setattr(secular, "_EPS", 0.0)
+        monkeypatch.setattr(secular, "_TINY", 0.0)
+        with pytest.raises(BracketFailure, match=r"\d+ of 40 secular roots uncertified"):
+            solve_secular(lam, z, 0.7)
+
     def test_negative_rho_reflection(self):
         rng = np.random.default_rng(8)
         for _ in range(25):

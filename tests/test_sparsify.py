@@ -1,12 +1,18 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
-from cauchygft.errors import Disconnected, EmptyInterface
+import cauchygft.sparsify as sparsify
+from cauchygft.errors import Disconnected, EmptyInterface, SolverNotConverged
 from cauchygft.graph import Graph, barabasi_albert, build_laplacian
 from cauchygft.partition import build_plan
 from cauchygft.sparsify import (
     ResistanceEstimate,
     SparsifyPolicy,
+    _jacobi_block_pcg,
+    apply_policy,
     estimate_resistances,
     exact_resistances,
     jl_dimension,
@@ -83,6 +89,77 @@ class TestResistances:
             estimate_resistances(g)
         with pytest.raises(Disconnected):
             exact_resistances(g, [(0, 1)])
+
+
+class TestSketchBlocks:
+    @staticmethod
+    def one_block_reference(g, seed):
+        """The sketch solved as one n x k PCG block, read out edge by edge."""
+        k = jl_dimension(g.n, 0.5)
+        rng = np.random.default_rng(seed)
+        signs = rng.integers(0, 2, size=(g.num_edges, k)).astype(np.float64) * 2.0 - 1.0
+        signs /= math.sqrt(k)
+        root_w = np.sqrt(g.ww)
+        yt = np.zeros((g.n, k))
+        np.add.at(yt, g.uu, root_w[:, None] * signs)
+        np.add.at(yt, g.vv, -root_w[:, None] * signs)
+        sol, unconverged = _jacobi_block_pcg(build_laplacian(g).matrix, yt, 1e-8, 1000)
+        assert unconverged == 0
+        return np.array([np.sum((sol[u] - sol[v]) ** 2) for u, v in zip(g.uu, g.vv)])
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_resistances_bit_identical_to_one_block(self, monkeypatch, workers):
+        # k = 513 = 8 * 64 + 1: fixed 64-column blocks would leave a 1-column
+        # block, whose reductions run pairwise and round differently
+        g = barabasi_albert(208, 2, seed=4)
+        k = jl_dimension(g.n, 0.5)
+        assert k % sparsify._SKETCH_COLS == 1
+        monkeypatch.setattr(sparsify, "_sketch_workers", lambda: workers)
+        # frequent thread switches, so blocks writing their columns of the
+        # shared solution interleave as much as they can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = estimate_resistances(g, seed=7)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.projection_dim == k
+        assert np.array_equal(got.values, self.one_block_reference(g, 7))
+
+    def test_plans_identical_for_any_worker_count(self, monkeypatch):
+        for seed in range(2):
+            g = barabasi_albert(400, 2, seed=seed)
+            plans = []
+            for workers in (1, 2):
+                monkeypatch.setattr(sparsify, "_sketch_workers", lambda w=workers: w)
+                res = build_plan(
+                    g, force_levels=2, max_levels=2,
+                    sparsify=SparsifyPolicy(target_count=5), seed=seed,
+                )
+                plans.append((res.plan.content_hash(), res.graph.ww.tobytes()))
+            assert plans[0] == plans[1]
+
+    def test_unconverged_blocks_raise_with_total_count(self, monkeypatch):
+        g = barabasi_albert(208, 2, seed=4)
+        k = jl_dimension(g.n, 0.5)
+        monkeypatch.setattr(sparsify, "_sketch_workers", lambda: 2)
+        with pytest.raises(SolverNotConverged, match=rf"block PCG: {k} of {k} columns"):
+            estimate_resistances(g, seed=0, maxiter=1)
+
+    def test_policy_falls_back_to_inverse_weights(self):
+        g = barabasi_albert(208, 2, seed=4)
+        crossing = g.edge_list()[:12]
+        policy = SparsifyPolicy(target_count=4, solver_maxiter=1)
+        with pytest.warns(UserWarning, match="did not converge"):
+            out = apply_policy(g, crossing, policy, seed=3)
+        inverse_w = ResistanceEstimate(
+            edges=[(u, v) for u, v, _ in crossing],
+            values=np.array([1.0 / w for _, _, w in crossing]),
+            projection_dim=0,
+            epsilon_jl=0.5,
+        )
+        want = sparsify_interface(crossing, inverse_w, target_count=4, seed=4)
+        assert out.kept_edges == want.kept_edges
 
 
 class TestSampler:
