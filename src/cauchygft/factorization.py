@@ -13,8 +13,9 @@ post-update sort (new roots can leapfrog deflated eigenvalues).
 from __future__ import annotations
 
 import json
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import DimensionMismatch, PlanMismatch, TooLarge, ZeroDegreeNode
 from .graph import COMBINATORIAL, NORMALIZED, Graph, build_laplacian, dense_eig
 from .plan import MergePlan
 from .secular import (
+    _DENSE_CACHE_MAX,
     CauchyFactor,
     DeflationRecord,
     HouseholderBlock,
@@ -55,21 +57,80 @@ class MergeStep:
 
 @dataclass(eq=False)
 class MergeRecord:
-    """All factors of one tree node's interface, over positions [start, stop)."""
+    """All factors of one tree node's interface, over positions [start, stop).
+
+    Maps the concatenated children spectra to the node's own spectrum: the
+    concat sort, then every step. A record of at most _DENSE_CACHE_MAX
+    positions is served through one dense orthogonal r x r operator, built
+    from its steps on first use under a lock and kept (never serialized);
+    a wider one walks its steps, rebuilding each Cauchy block, per call.
+    """
 
     node_id: int
     start: int
     stop: int
     concat_perm: np.ndarray | None
     steps: list[MergeStep]
+    _operator: np.ndarray | None = field(default=None, init=False, repr=False)
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
+
+    def apply_forward(self, view: np.ndarray) -> None:
+        """Children spectra to node spectrum, in place on an (r, c) view."""
+        op = self._dense_operator()
+        if op is None:
+            self._walk_forward(view)
+        else:
+            view[:] = op @ view
+
+    def apply_inverse(self, view: np.ndarray) -> None:
+        """Node spectrum back to children spectra, in place on an (r, c) view."""
+        op = self._dense_operator()
+        if op is None:
+            self._walk_inverse(view)
+        else:
+            view[:] = op.T @ view
+
+    def _dense_operator(self) -> np.ndarray | None:
+        if self.stop - self.start > _DENSE_CACHE_MAX:
+            return None
+        if self._operator is None:
+            with self._lock:
+                if self._operator is None:
+                    self._operator = self._build_operator()
+        return self._operator
+
+    def _build_operator(self) -> np.ndarray:
+        op = np.eye(self.stop - self.start)
+        self._walk_forward(op)
+        return op
+
+    def _walk_forward(self, view: np.ndarray) -> None:
+        if self.concat_perm is not None:
+            view[:] = view[self.concat_perm]
+        for step in self.steps:
+            step.apply_forward(view)
+
+    def _walk_inverse(self, view: np.ndarray) -> None:
+        for step in reversed(self.steps):
+            step.apply_inverse(view)
+        if self.concat_perm is not None:
+            tmp = np.empty_like(view)
+            tmp[self.concat_perm] = view
+            view[:] = tmp
 
 
 @dataclass(eq=False)
 class FactorizedGft:
     """Leaf eigenbases + ordered Cauchy history + final eigenvalues.
 
-    Immutable after construction; forward/inverse are reentrant and act
-    column-wise on signal matrices.
+    The factor data never changes after construction. Each merge record of
+    at most _DENSE_CACHE_MAX positions caches one dense operator, built on
+    the first transform that reaches it (so that call costs more than later
+    ones) under a per-record lock that lets concurrent callers build it
+    once. forward/inverse are reentrant and act column-wise on signal
+    matrices.
     """
 
     plan: MergePlan
@@ -98,11 +159,7 @@ class FactorizedGft:
         y = arr[self.plan.pos_to_node].copy()
         self._leaf_forward(y)
         for rec in self.history:
-            view = y[rec.start : rec.stop]
-            if rec.concat_perm is not None:
-                view[:] = view[rec.concat_perm]
-            for step in rec.steps:
-                step.apply_forward(view)
+            rec.apply_forward(y[rec.start : rec.stop])
         return y[:, 0] if vec else y
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
@@ -110,13 +167,7 @@ class FactorizedGft:
         arr, vec = self._check_rows(x)
         y = arr.copy()
         for rec in reversed(self.history):
-            view = y[rec.start : rec.stop]
-            for step in reversed(rec.steps):
-                step.apply_inverse(view)
-            if rec.concat_perm is not None:
-                tmp = np.empty_like(view)
-                tmp[rec.concat_perm] = view
-                view[:] = tmp
+            rec.apply_inverse(y[rec.start : rec.stop])
         for i, basis in enumerate(self.leaf_bases):
             nid = self.plan.leaf_node_id[i]
             s0, s1 = self.plan.ranges[nid]
@@ -215,8 +266,10 @@ class FactorizedGft:
     def from_dict(cls, data: dict) -> FactorizedGft:
         """Rebuild a saved transform; PlanMismatch if the data is not one.
 
-        The version must be GFT_VERSION and the stored plan hash must match
-        the stored plan; a missing or mistyped field is reported the same way.
+        The version must be GFT_VERSION, the stored plan hash must match
+        the stored plan and every array must have the shape and index range
+        that plan implies; a missing or mistyped field is reported the same
+        way.
         """
         try:
             version = data["version"]
@@ -225,13 +278,64 @@ class FactorizedGft:
                     f"transform file version {version!r}, expected {GFT_VERSION}"
                 )
             fact = cls._from_dict(data)
-        except (KeyError, TypeError) as exc:
+            if fact.plan_hash != fact.plan.content_hash():
+                raise PlanMismatch("transform file plan_hash does not match its plan")
+            fact._check_shapes()
+        except (KeyError, TypeError, ValueError) as exc:
             raise PlanMismatch(
                 f"malformed transform file ({type(exc).__name__}: {exc})"
             ) from exc
-        if fact.plan_hash != fact.plan.content_hash():
-            raise PlanMismatch("transform file plan_hash does not match its plan")
         return fact
+
+    def _check_shapes(self) -> None:
+        """PlanMismatch unless every array's shape and indices fit the plan."""
+
+        def expect(what: str, got, want) -> None:
+            if got != want:
+                raise PlanMismatch(f"{what} has shape {got}, expected {want}")
+
+        def expect_perm(what: str, perm: np.ndarray | None, r: int) -> None:
+            if perm is not None and not np.array_equal(np.sort(perm), np.arange(r)):
+                raise PlanMismatch(f"{what} is not a permutation of {r} positions")
+
+        def expect_indices(what: str, idx: np.ndarray, r: int) -> None:
+            if idx.size and (idx.min() < 0 or idx.max() >= r):
+                raise PlanMismatch(f"{what} has an index outside {r} positions")
+
+        plan = self.plan
+        expect("lambda_final", self.lambda_final.shape, (self.n,))
+        expect("leaf_bases", (len(self.leaf_bases),), (len(plan.leaves),))
+        for i, basis in enumerate(self.leaf_bases):
+            size = len(plan.leaves[i])
+            expect(f"leaf basis {i}", basis.shape, (size, size))
+        if set(self.level_lambdas) != set(plan.ranges):
+            raise PlanMismatch("level_lambdas does not cover the plan's tree nodes")
+        for nid, lam in self.level_lambdas.items():
+            s0, s1 = plan.ranges[nid]
+            expect(f"level_lambdas {nid}", lam.shape, (s1 - s0,))
+        for rec in self.history:
+            where = f"merge record {rec.node_id}"
+            expect(f"{where} range", (rec.start, rec.stop), plan.ranges.get(rec.node_id))
+            r = rec.stop - rec.start
+            expect_perm(f"{where} concat_perm", rec.concat_perm, r)
+            for j, step in enumerate(rec.steps):
+                f = step.factor
+                at = f"{where} step {j}"
+                expect(f"{at} factor", (f.size,), (r,))
+                expect_perm(f"{at} perm", step.perm, r)
+                expect_indices(f"{at} affected", f.affected, r)
+                expect_indices(f"{at} origins", f.solution.origins, f.affected.size)
+                for blk in f.deflation.householder_blocks:
+                    if not 0 <= blk.start < blk.stop <= r:
+                        raise PlanMismatch(f"{at} reflector outside {r} positions")
+                    expect(f"{at} reflector", blk.reflector.shape, (blk.stop - blk.start,))
+                a = (f.affected.size,)
+                expect(f"{at} zhat", f.zhat.shape, a)
+                expect(f"{at} column_norms", f.column_norms.shape, a)
+                expect(f"{at} column_signs", f.column_signs.shape, a)
+                expect(f"{at} origins", f.solution.origins.shape, a)
+                expect(f"{at} offsets", f.solution.offsets.shape, a)
+                expect(f"{at} lambda_old", f.solution.lambda_old.shape, a)
 
     @classmethod
     def _from_dict(cls, data: dict) -> FactorizedGft:
@@ -377,9 +481,11 @@ def factorize(
     # simple range views (support only ever grows within subtree ranges)
     zvecs: dict[tuple[int, int], np.ndarray] = {}
     edge_leafpair: dict[tuple[int, int], tuple[int, int]] = {}
+    owner: dict[tuple[int, int], int] = {}
     for nid, edges in plan.interfaces.items():
         for u, v, w in edges:
             key = (min(u, v), max(u, v))
+            owner[key] = nid
             z = _bridge_vector(plan, u, v, w, kind, inv_sqrt_deg, n)
             for node in (u, v):
                 li = int(plan.leaf_of[node])
@@ -396,26 +502,31 @@ def factorize(
         node_lam[nid] = leaf_lams[i]
         level_lambdas[nid] = leaf_lams[i].copy()
 
-    consumed: set[tuple[int, int]] = set()
     records: dict[int, MergeRecord] = {}
 
-    def touches(key: tuple[int, int], nid: int) -> bool:
+    def carried(key: tuple[int, int], nid: int) -> bool:
+        """Whether merge nid carries the bridge's vector.
+
+        It does when the bridge touches nid's leaves and nid or an ancestor
+        owns it; the bridges of nid's descendants are solved already.
+        """
         la, lb = edge_leafpair[key]
         leafset = plan.leaf_sets[nid]
-        return la in leafset or lb in leafset
+        s0, s1 = plan.ranges[nid]
+        o0, o1 = plan.ranges[owner[key]]
+        return (la in leafset or lb in leafset) and o0 <= s0 and s1 <= o1
 
     def do_merge(nd) -> None:
         nid = nd.id
         s0, s1 = plan.ranges[nid]
         a, b = nd.children
+        pending = [k for k in zvecs if carried(k, nid)]
         lam = np.concatenate([node_lam[a], node_lam[b]])
         concat_perm: np.ndarray | None = None
         if np.any(np.diff(lam) < 0.0):
             concat_perm = np.argsort(lam, kind="stable")
             lam = lam[concat_perm]
-        relevant = [k for k in zvecs if k not in consumed and touches(k, nid)]
-        if concat_perm is not None:
-            for k in relevant:
+            for k in pending:
                 view = zvecs[k][s0:s1]
                 view[:] = view[concat_perm]
         bridges = sorted(
@@ -438,9 +549,8 @@ def factorize(
                 lam = lam_unsorted[perm]
             else:
                 lam = lam_unsorted
-            consumed.add(key)
             step = MergeStep(factor=factor, perm=perm)
-            pending = [k for k in relevant if k not in consumed]
+            pending = [k for k in pending if k != key]
             if pending:
                 # one batched apply beats per-edge matvecs for wide interfaces
                 stack = np.stack([zvecs[k][s0:s1] for k in pending], axis=1)

@@ -320,10 +320,7 @@ def hierarchical_mix(
             y[s0:s1] *= mult[:, None]
     for rec in f.history:
         view = y[rec.start : rec.stop]
-        if rec.concat_perm is not None:
-            view[:] = view[rec.concat_perm]
-        for step in rec.steps:
-            step.apply_forward(view)
+        rec.apply_forward(view)
         mult = _node_multiplier(cfg, f, rec.node_id)
         if mult is not None:
             view *= mult[:, None]

@@ -43,7 +43,8 @@ _CHUNK_ELEMS = 4_000_000
 _BLOCK_ELEMS = 1 << 16
 # largest pole count whose split sums use the 0/1 mask (einsum) path
 _MASK_MAX_M = 1024
-# affected-block edge below which the dense Cauchy block is memoized
+# widest merge record (positions) that is served through one dense operator:
+# below it rebuilding every Cauchy block per call costs more than the multiply
 _DENSE_CACHE_MAX = 512
 
 
@@ -133,8 +134,7 @@ class CauchyFactor:
     forward = post-deflation Cauchy-block transpose after the Householder
     rotations, i.e. the map from old-basis to new-basis spectral coefficients.
     Only O(|affected|) data is stored; the dense Cauchy block is rebuilt in
-    column chunks on demand (and memoized below _DENSE_CACHE_MAX, where the
-    rebuild overhead would dominate the actual multiply).
+    column chunks on every apply.
     """
 
     size: int
@@ -144,9 +144,6 @@ class CauchyFactor:
     zhat: np.ndarray         # Loewner-consistent z over `affected`
     column_norms: np.ndarray
     column_signs: np.ndarray
-
-    def __post_init__(self):
-        self._block_cache: np.ndarray | None = None
 
     @property
     def is_identity(self) -> bool:
@@ -179,39 +176,22 @@ class CauchyFactor:
         self.apply_inplace(y, transpose=transpose)
         return y[:, 0] if vec else y
 
-    def _block(self) -> np.ndarray | None:
-        if self.affected.size > _DENSE_CACHE_MAX:
-            return None
-        if self._block_cache is None:
-            self._block_cache = self.cauchy_matrix()
-        return self._block_cache
-
     def apply_inplace(self, y: np.ndarray, transpose: bool = False) -> None:
         """In-place version on a (size, c) array; used on shared-state views."""
         if not transpose:
             for blk in self.deflation.householder_blocks:
                 blk.apply_t(y)
             if self.affected.size:
-                sub = y[self.affected]
-                block = self._block()
-                if block is not None:
-                    y[self.affected] = block.T @ sub
-                else:
-                    y[self.affected] = _cauchy_apply(
-                        self.solution, self.zhat, self.column_norms,
-                        self.column_signs, sub, transpose=True,
-                    )
+                y[self.affected] = _cauchy_apply(
+                    self.solution, self.zhat, self.column_norms,
+                    self.column_signs, y[self.affected], transpose=True,
+                )
         else:
             if self.affected.size:
-                sub = y[self.affected]
-                block = self._block()
-                if block is not None:
-                    y[self.affected] = block @ sub
-                else:
-                    y[self.affected] = _cauchy_apply(
-                        self.solution, self.zhat, self.column_norms,
-                        self.column_signs, sub, transpose=False,
-                    )
+                y[self.affected] = _cauchy_apply(
+                    self.solution, self.zhat, self.column_norms,
+                    self.column_signs, y[self.affected], transpose=False,
+                )
             for blk in self.deflation.householder_blocks:
                 blk.apply(y)
 

@@ -36,6 +36,10 @@ JL_MIN_DIM = 20
 # below this width: a 1-column block would reduce as a contiguous vector
 # (pairwise sums) and change the rounding.
 _SKETCH_COLS = 64
+# elements per chunk of the random-sign draw. Chunks of whole rows take the
+# generator's stream in the order one full draw does, so any size gives the
+# same signs; it bounds the int64 temporary beside the float64 matrix.
+_SIGN_CHUNK_ELEMS = 1 << 18
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -157,7 +161,11 @@ def estimate_resistances(
         req = [(int(u), int(v)) for u, v, *_ in edges]
     k = jl_dimension(g.n, eps_jl)
     rng = np.random.default_rng(seed)
-    signs = rng.integers(0, 2, size=(g.num_edges, k)).astype(np.float64)
+    signs = np.empty((g.num_edges, k))
+    rows = max(1, _SIGN_CHUNK_ELEMS // k)
+    for s in range(0, g.num_edges, rows):
+        chunk = signs[s : s + rows]
+        chunk[:] = rng.integers(0, 2, size=chunk.shape)
     signs *= 2.0
     signs -= 1.0
     signs /= math.sqrt(k)

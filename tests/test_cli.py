@@ -174,6 +174,11 @@ class TestFilterCmd:
             ("plan_hash", "plan_hash does not match"),
             ("version", "version 99"),
             ("cut_bytes", "error:"),
+            ("short_zhat", "zhat has shape"),
+            ("perm_length", "perm is not a permutation"),
+            ("text_zhat", "malformed transform file"),
+            ("short_level_lambdas", "level_lambdas"),
+            ("origin_index", "origins has an index outside"),
         ],
     )
     def test_bad_transform_file_exit_two(self, tmp_path, p3_file, capsys, damage, message):
@@ -186,6 +191,19 @@ class TestFilterCmd:
             data["plan_hash"] = "0" * 16
         elif damage == "version":
             data["version"] = 99
+        elif damage == "short_zhat":
+            step = data["history"][0]["steps"][0]
+            step["zhat"] = step["zhat"][:-1]
+        elif damage == "perm_length":
+            rec = data["history"][0]
+            rec["steps"][0]["perm"] = list(range(rec["stop"] - rec["start"] + 1))
+        elif damage == "text_zhat":
+            data["history"][0]["steps"][0]["zhat"][0] = "x"
+        elif damage == "short_level_lambdas":
+            node = str(data["history"][0]["node_id"])
+            data["level_lambdas"][node] = data["level_lambdas"][node][:-1]
+        elif damage == "origin_index":
+            data["history"][0]["steps"][0]["origins"][0] = 999
         if damage == "cut_bytes":
             fpath.write_text(text[: len(text) // 2])
         else:

@@ -1,13 +1,24 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from cauchygft import factorization
 from cauchygft.errors import DimensionMismatch, PlanMismatch, TooLarge
-from cauchygft.factorization import FactorizedGft, factorize
+from cauchygft.factorization import FactorizedGft, MergeRecord, factorize
+from cauchygft.filters import (
+    FilterLayerConfig,
+    _node_multiplier,
+    heat_filter,
+    hierarchical_mix,
+)
 from cauchygft.graph import Graph, barabasi_albert, build_laplacian, dense_eig
+from cauchygft.partition import build_plan
 from cauchygft.plan import MergePlan, plan_from_leaves
+from cauchygft.secular import _DENSE_CACHE_MAX, rank_one_update_factor
 
 
 def two_block_plan(g):
@@ -20,6 +31,24 @@ def four_block_plan(g):
     sets = [list(range(i * q, (i + 1) * q)) for i in range(3)]
     sets.append(list(range(3 * q, g.n)))
     return plan_from_leaves(g, sets)
+
+
+def factor_bytes(f):
+    """Every array factorize produces, as bytes, in history order."""
+    out = [f.lambda_final.tobytes()] + [b.tobytes() for b in f.leaf_bases]
+    for rec in f.history:
+        out.append(None if rec.concat_perm is None else rec.concat_perm.tobytes())
+        for step in rec.steps:
+            fa = step.factor
+            out += [
+                a.tobytes()
+                for a in (
+                    fa.affected, fa.solution.origins, fa.solution.offsets,
+                    fa.zhat, fa.column_norms, fa.column_signs,
+                )
+            ]
+            out.append(None if step.perm is None else step.perm.tobytes())
+    return out
 
 
 def check_against_dense(g, f, tol=1e-8, kind="combinatorial"):
@@ -107,6 +136,12 @@ class TestFactorizeExactness:
         assert np.array_equal(f1.lambda_final, f2.lambda_final)
         x = np.random.default_rng(2).standard_normal((150, 4))
         assert np.array_equal(f1.forward(x), f2.forward(x))
+        # the default plan has dozens of merges on each level, run concurrently
+        g = barabasi_albert(120, 2, seed=0)
+        plan = build_plan(g, seed=0).plan
+        assert factor_bytes(factorize(g, plan, threads=1)) == factor_bytes(
+            factorize(g, plan, threads=2)
+        )
 
     def test_disconnected_blocks(self):
         # two components end up in separate leaves; empty interface at the root
@@ -276,3 +311,135 @@ class TestSerialization:
         data = json.loads(path.read_text())
         assert data["version"] == 1
         assert data["plan_hash"] == f.plan.content_hash()
+
+
+def walk_forward(f, x, cfg=None):
+    """Reference U^T x: leaf bases, then every concat sort and step in turn.
+
+    With a filter config, each tree node's response follows its merge, as
+    in hierarchical_mix.
+    """
+    y = x[f.plan.pos_to_node].copy()
+    for i, basis in enumerate(f.leaf_bases):
+        nid = f.plan.leaf_node_id[i]
+        s0, s1 = f.plan.ranges[nid]
+        y[s0:s1] = basis.T @ y[s0:s1]
+        mult = None if cfg is None else _node_multiplier(cfg, f, nid)
+        if mult is not None:
+            y[s0:s1] *= mult[:, None]
+    for rec in f.history:
+        view = y[rec.start : rec.stop]
+        if rec.concat_perm is not None:
+            view[:] = view[rec.concat_perm]
+        for step in rec.steps:
+            step.apply_forward(view)
+        mult = None if cfg is None else _node_multiplier(cfg, f, rec.node_id)
+        if mult is not None:
+            view *= mult[:, None]
+    return y
+
+
+def walk_inverse(f, x):
+    """Reference U x: every step transposed in reverse, then the leaf bases."""
+    y = x.copy()
+    for rec in reversed(f.history):
+        view = y[rec.start : rec.stop]
+        for step in reversed(rec.steps):
+            step.apply_inverse(view)
+        if rec.concat_perm is not None:
+            tmp = np.empty_like(view)
+            tmp[rec.concat_perm] = view
+            view[:] = tmp
+    for i, basis in enumerate(f.leaf_bases):
+        s0, s1 = f.plan.ranges[f.plan.leaf_node_id[i]]
+        y[s0:s1] = basis @ y[s0:s1]
+    return y[f.plan.node_to_pos]
+
+
+class TestRecordOperators:
+    @staticmethod
+    def default_plan_transform():
+        g = barabasi_albert(200, 2, seed=3)
+        return factorize(g, build_plan(g, seed=3).plan)
+
+    def test_served_transforms_match_step_walk(self, monkeypatch):
+        f = self.default_plan_transform()
+        assert all(rec.stop - rec.start <= _DENSE_CACHE_MAX for rec in f.history)
+        x = np.random.default_rng(6).standard_normal((f.n, 3))
+        cfg = FilterLayerConfig(
+            node_filters={nd.id: heat_filter(0.3) for nd in f.plan.nodes[::3]}
+        )
+        want = {
+            "forward": walk_forward(f, x),
+            "inverse": walk_inverse(f, x),
+            "mix": walk_forward(f, x, cfg),
+        }
+
+        def served():
+            return {
+                "forward": f.forward(x),
+                "inverse": f.inverse(x),
+                "mix": hierarchical_mix(f, cfg, x),
+            }
+
+        for name, got in served().items():
+            err = np.linalg.norm(got - want[name]) / np.linalg.norm(want[name])
+            assert err <= 1e-12, name
+        # no record is narrow enough for an operator: every one walks its
+        # steps, with the reference's bits
+        monkeypatch.setattr(factorization, "_DENSE_CACHE_MAX", 0)
+        for name, got in served().items():
+            assert np.array_equal(got, want[name]), name
+
+    def test_factorize_and_load_cache_no_operator(self):
+        f = self.default_plan_transform()
+        assert all(rec._operator is None for rec in f.history)
+        loaded = FactorizedGft.from_dict(f.to_dict())
+        assert all(rec._operator is None for rec in loaded.history)
+        f.forward(np.ones(f.n))
+        assert all(rec._operator is not None for rec in f.history)
+        assert json.dumps(f.to_dict()) == json.dumps(loaded.to_dict())
+
+    @pytest.mark.parametrize("m", [2, 37, _DENSE_CACHE_MAX])
+    def test_small_factor_apply_is_one_dense_product(self, m):
+        # the product the propagation in factorize uses for m <= 512
+        rng = np.random.default_rng(m)
+        lam = np.sort(rng.uniform(0.0, 4.0, m))
+        factor, _ = rank_one_update_factor(lam, rng.standard_normal(m), 0.8)
+        assert factor.affected.size == m
+        assert not factor.deflation.householder_blocks
+        x = rng.standard_normal((m, 5))
+        assert factor.apply(x).tobytes() == (factor.cauchy_matrix().T @ x).tobytes()
+
+    def test_concurrent_first_forward_builds_each_operator_once(self, monkeypatch):
+        f = self.default_plan_transform()
+        builds = []
+        build = MergeRecord._build_operator
+
+        def counted(rec):
+            builds.append(rec.node_id)
+            return build(rec)
+
+        monkeypatch.setattr(MergeRecord, "_build_operator", counted)
+        x = np.random.default_rng(8).standard_normal((f.n, 2))
+        outs = [None] * 4
+        start = threading.Barrier(len(outs))
+
+        def run(i):
+            start.wait(timeout=60)
+            outs[i] = f.forward(x)
+
+        workers = [threading.Thread(target=run, args=(i,)) for i in range(len(outs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert all(out is not None for out in outs)
+        assert all(out.tobytes() == outs[0].tobytes() for out in outs)
+        assert sorted(builds) == sorted(rec.node_id for rec in f.history)

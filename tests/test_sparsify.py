@@ -115,6 +115,9 @@ class TestSketchBlocks:
         k = jl_dimension(g.n, 0.5)
         assert k % sparsify._SKETCH_COLS == 1
         monkeypatch.setattr(sparsify, "_sketch_workers", lambda: workers)
+        # signs drawn 3 rows at a time, the last chunk ragged
+        monkeypatch.setattr(sparsify, "_SIGN_CHUNK_ELEMS", 3 * k)
+        assert g.num_edges % 3
         # frequent thread switches, so blocks writing their columns of the
         # shared solution interleave as much as they can
         interval = sys.getswitchinterval()
