@@ -26,11 +26,9 @@ from .errors import (
 from .graph import (
     Graph,
     Laplacian,
-    RankOneUpdate,
     barabasi_albert,
     build_laplacian,
     dense_eig,
-    edge_updates,
     read_graph,
     write_graph,
 )
@@ -38,7 +36,6 @@ from .secular import (
     CauchyFactor,
     DeflationRecord,
     SecularSolution,
-    apply_factor,
     build_cauchy_factor,
     deflate,
     rank_one_update_factor,

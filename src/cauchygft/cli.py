@@ -16,7 +16,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .errors import CauchyGftError
-from .factorization import FactorizedGft, factorize
+from .factorization import DENSE_LIMIT, FactorizedGft, factorize
 from .filters import (
     FilterBank,
     BankFilter,
@@ -260,8 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--verify", action="store_true",
                    help="compare against the dense eigensolver (small n)")
-    p.add_argument("--dense-limit", type=int, default=2048)
-    p.add_argument("--out", help="write the factorization JSON here")
+    p.add_argument("--dense-limit", type=int, default=DENSE_LIMIT)
+    p.add_argument("--out", help="write the factorization JSON to exactly this path")
     p.add_argument("--plan-out", help="write the plan JSON here")
     p.add_argument("--print-spectrum", action="store_true")
     p.set_defaults(fn=cmd_factorize)

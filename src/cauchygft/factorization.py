@@ -19,20 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import F64, I64, fields_from_dict, fields_to_dict
 from .errors import DimensionMismatch, PlanMismatch, TooLarge, ZeroDegreeNode
 from .graph import COMBINATORIAL, NORMALIZED, Graph, build_laplacian, dense_eig
-from .plan import MergePlan
-from .secular import (
-    _DENSE_CACHE_MAX,
-    CauchyFactor,
-    DeflationRecord,
-    HouseholderBlock,
-    SecularSolution,
-    rank_one_update_factor,
-)
+from .plan import MergePlan, read_json
+from .secular import _DENSE_CACHE_MAX, CauchyFactor, rank_one_update_factor
 
-GFT_VERSION = 1
-DENSE_LIMIT_DEFAULT = 2048
+GFT_VERSION = 2
+# largest n whose operator reconstruct_operator materializes densely
+DENSE_LIMIT = 2048
 
 
 @dataclass(eq=False)
@@ -40,7 +35,7 @@ class MergeStep:
     """One bridge edge's factor plus the slot sort that follows it."""
 
     factor: CauchyFactor
-    perm: np.ndarray | None  # local to the owning merge range; None = identity
+    perm: I64 | None  # local to the owning merge range; None = identity
 
     def apply_forward(self, view: np.ndarray) -> None:
         self.factor.apply_inplace(view)
@@ -69,7 +64,7 @@ class MergeRecord:
     node_id: int
     start: int
     stop: int
-    concat_perm: np.ndarray | None
+    concat_perm: I64 | None
     steps: list[MergeStep]
     _operator: np.ndarray | None = field(default=None, init=False, repr=False)
     _lock: threading.Lock = field(
@@ -135,12 +130,11 @@ class FactorizedGft:
 
     plan: MergePlan
     kind: str
-    leaf_bases: list[np.ndarray]
+    leaf_bases: list[F64]
     history: list[MergeRecord]
-    lambda_final: np.ndarray
-    level_lambdas: dict[int, np.ndarray]
+    lambda_final: F64
+    level_lambdas: dict[int, F64]
     plan_hash: str = ""
-    dense_limit: int = DENSE_LIMIT_DEFAULT
 
     @property
     def n(self) -> int:
@@ -183,8 +177,8 @@ class FactorizedGft:
 
     def reconstruct_operator(self, spectral_multiplier: np.ndarray) -> np.ndarray:
         """Materialize U diag(g) U^T densely; verification-scale n only."""
-        if self.n > self.dense_limit:
-            raise TooLarge(f"n={self.n} exceeds dense limit {self.dense_limit}")
+        if self.n > DENSE_LIMIT:
+            raise TooLarge(f"n={self.n} exceeds dense limit {DENSE_LIMIT}")
         g = np.asarray(spectral_multiplier, dtype=np.float64)
         if g.shape != (self.n,):
             raise DimensionMismatch("multiplier must have one entry per eigenvalue")
@@ -194,69 +188,8 @@ class FactorizedGft:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def arr(a):
-            return np.asarray(a).tolist()
-
-        steps_out = []
-        for rec in self.history:
-            steps = []
-            for st in rec.steps:
-                f = st.factor
-                d = f.deflation
-                steps.append(
-                    {
-                        "affected": arr(f.affected),
-                        "lambda_old": arr(f.solution.lambda_old),
-                        "lambda_new": arr(f.solution.lambda_new),
-                        "origins": arr(f.solution.origins),
-                        "offsets": arr(f.solution.offsets),
-                        "z": arr(f.solution.z),
-                        "rho": f.solution.rho,
-                        "zhat": arr(f.zhat),
-                        "column_norms": arr(f.column_norms),
-                        "column_signs": arr(f.column_signs),
-                        "size": f.size,
-                        "deflation": {
-                            "size": d.size,
-                            "kept": arr(d.kept),
-                            "dropped_zero": arr(d.dropped_zero),
-                            "rotated": arr(d.rotated),
-                            "z_deflated": arr(d.z_deflated),
-                            "blocks": [
-                                {
-                                    "start": b.start,
-                                    "stop": b.stop,
-                                    "reflector": arr(b.reflector),
-                                    "first_sign": b.first_sign,
-                                }
-                                for b in d.householder_blocks
-                            ],
-                        },
-                        "perm": arr(st.perm) if st.perm is not None else None,
-                    }
-                )
-            steps_out.append(
-                {
-                    "node_id": rec.node_id,
-                    "start": rec.start,
-                    "stop": rec.stop,
-                    "concat_perm": arr(rec.concat_perm)
-                    if rec.concat_perm is not None
-                    else None,
-                    "steps": steps,
-                }
-            )
-        return {
-            "version": GFT_VERSION,
-            "kind": self.kind,
-            "plan": self.plan.to_dict(),
-            "plan_hash": self.plan_hash,
-            "leaf_bases": [arr(b) for b in self.leaf_bases],
-            "history": steps_out,
-            "lambda_final": arr(self.lambda_final),
-            "level_lambdas": {str(k): arr(v) for k, v in self.level_lambdas.items()},
-            "dense_limit": self.dense_limit,
-        }
+        """JSON-ready form: GFT_VERSION plus every init field, nested as stored."""
+        return {"version": GFT_VERSION, **fields_to_dict(self)}
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -277,11 +210,11 @@ class FactorizedGft:
                 raise PlanMismatch(
                     f"transform file version {version!r}, expected {GFT_VERSION}"
                 )
-            fact = cls._from_dict(data)
+            fact = fields_from_dict(cls, data)
             if fact.plan_hash != fact.plan.content_hash():
                 raise PlanMismatch("transform file plan_hash does not match its plan")
             fact._check_shapes()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise PlanMismatch(
                 f"malformed transform file ({type(exc).__name__}: {exc})"
             ) from exc
@@ -338,81 +271,8 @@ class FactorizedGft:
                 expect(f"{at} lambda_old", f.solution.lambda_old.shape, a)
 
     @classmethod
-    def _from_dict(cls, data: dict) -> FactorizedGft:
-        def f64(a):
-            return np.asarray(a, dtype=np.float64)
-
-        def i64(a):
-            return np.asarray(a, dtype=np.int64)
-
-        history = []
-        for rec in data["history"]:
-            steps = []
-            for st in rec["steps"]:
-                dd = st["deflation"]
-                deflation = DeflationRecord(
-                    size=dd["size"],
-                    kept=i64(dd["kept"]),
-                    dropped_zero=i64(dd["dropped_zero"]),
-                    rotated=i64(dd["rotated"]),
-                    householder_blocks=tuple(
-                        HouseholderBlock(
-                            start=b["start"],
-                            stop=b["stop"],
-                            reflector=f64(b["reflector"]),
-                            first_sign=b["first_sign"],
-                        )
-                        for b in dd["blocks"]
-                    ),
-                    z_deflated=f64(dd["z_deflated"]),
-                )
-                sol = SecularSolution(
-                    lambda_old=f64(st["lambda_old"]),
-                    lambda_new=f64(st["lambda_new"]),
-                    z=f64(st["z"]),
-                    rho=st["rho"],
-                    origins=i64(st["origins"]),
-                    offsets=f64(st["offsets"]),
-                )
-                factor = CauchyFactor(
-                    size=st["size"],
-                    affected=i64(st["affected"]),
-                    solution=sol,
-                    deflation=deflation,
-                    zhat=f64(st["zhat"]),
-                    column_norms=f64(st["column_norms"]),
-                    column_signs=f64(st["column_signs"]),
-                )
-                perm = i64(st["perm"]) if st["perm"] is not None else None
-                steps.append(MergeStep(factor=factor, perm=perm))
-            history.append(
-                MergeRecord(
-                    node_id=rec["node_id"],
-                    start=rec["start"],
-                    stop=rec["stop"],
-                    concat_perm=i64(rec["concat_perm"])
-                    if rec["concat_perm"] is not None
-                    else None,
-                    steps=steps,
-                )
-            )
-        return cls(
-            plan=MergePlan.from_dict(data["plan"]),
-            kind=data["kind"],
-            leaf_bases=[f64(b) for b in data["leaf_bases"]],
-            history=history,
-            lambda_final=f64(data["lambda_final"]),
-            level_lambdas={
-                int(k): f64(v) for k, v in data["level_lambdas"].items()
-            },
-            plan_hash=data["plan_hash"],
-            dense_limit=data.get("dense_limit", DENSE_LIMIT_DEFAULT),
-        )
-
-    @classmethod
     def load(cls, path: str) -> FactorizedGft:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, "transform"))
 
 
 def _leaf_block(g: Graph, leaf: np.ndarray, kind: str, inv_sqrt_deg) -> np.ndarray:
@@ -441,7 +301,6 @@ def factorize(
     plan: MergePlan,
     kind: str = COMBINATORIAL,
     threads: int = 1,
-    dense_limit: int = DENSE_LIMIT_DEFAULT,
 ) -> FactorizedGft:
     """Run the hierarchical merge and return the factorized transform.
 
@@ -586,5 +445,4 @@ def factorize(
         lambda_final=lambda_final,
         level_lambdas=level_lambdas,
         plan_hash=plan.content_hash(),
-        dense_limit=dense_limit,
     )

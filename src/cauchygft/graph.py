@@ -155,20 +155,6 @@ class Laplacian:
         return self.matrix.toarray()
 
 
-@dataclass(frozen=True, eq=False)
-class RankOneUpdate:
-    """One edge's contribution rho * v v^T; v has at most two nonzeros."""
-
-    indices: tuple[int, ...]
-    values: tuple[float, ...]
-    rho: float
-
-    def dense_v(self, n: int) -> np.ndarray:
-        v = np.zeros(n)
-        v[list(self.indices)] = self.values
-        return v
-
-
 def build_laplacian(g: Graph, kind: str = COMBINATORIAL) -> Laplacian:
     """Assemble D - W + V, optionally normalized as D^{-1/2} L D^{-1/2}.
 
@@ -193,21 +179,6 @@ def build_laplacian(g: Graph, kind: str = COMBINATORIAL) -> Laplacian:
         lap = sp.csr_matrix(sp.diags(s) @ lap @ sp.diags(s))
     lap.sum_duplicates()
     return Laplacian(kind=kind, matrix=lap)
-
-
-def edge_updates(g: Graph) -> list[RankOneUpdate]:
-    """Rank-one decomposition of the combinatorial Laplacian.
-
-    One update per edge (v = e_u - e_v, rho = w) plus one per self-loop
-    (v = e_i, rho = v_ii); their sum reproduces build_laplacian exactly.
-    """
-    out = [
-        RankOneUpdate(indices=(int(u), int(v)), values=(1.0, -1.0), rho=float(w))
-        for u, v, w in zip(g.uu, g.vv, g.ww)
-    ]
-    for i in sorted(g.self_loops):
-        out.append(RankOneUpdate(indices=(i,), values=(1.0,), rho=g.self_loops[i]))
-    return out
 
 
 def barabasi_albert(n: int, m: int, seed: int) -> Graph:

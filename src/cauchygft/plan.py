@@ -181,25 +181,36 @@ class MergePlan:
 
     @classmethod
     def from_dict(cls, data: dict) -> MergePlan:
-        nodes = [
-            PlanNode(
-                id=nd["id"],
-                children=tuple(nd["children"]) if nd["children"] else None,
-                leaf_index=nd["leaf"],
+        """Rebuild a saved plan; PlanMismatch if the data is not one.
+
+        The version must be PLAN_VERSION; a missing or mistyped field, or
+        leaves that do not index n nodes, are reported the same way.
+        """
+        try:
+            version = data["version"]
+            if version != PLAN_VERSION:
+                raise PlanMismatch(f"plan version {version!r}, expected {PLAN_VERSION}")
+            nodes = [
+                PlanNode(
+                    id=nd["id"],
+                    children=tuple(nd["children"]) if nd["children"] else None,
+                    leaf_index=nd["leaf"],
+                )
+                for nd in data["tree"]
+            ]
+            interfaces = {
+                int(nid): [(int(u), int(v), float(w)) for u, v, w in edges]
+                for nid, edges in data["interfaces"].items()
+            }
+            return cls(
+                n=data["n"],
+                leaves=[np.asarray(lv, dtype=np.int64) for lv in data["leaves"]],
+                nodes=nodes,
+                interfaces=interfaces,
+                config=data.get("config", {}),
             )
-            for nd in data["tree"]
-        ]
-        interfaces = {
-            int(nid): [(int(u), int(v), float(w)) for u, v, w in edges]
-            for nid, edges in data["interfaces"].items()
-        }
-        return cls(
-            n=data["n"],
-            leaves=[np.asarray(lv, dtype=np.int64) for lv in data["leaves"]],
-            nodes=nodes,
-            interfaces=interfaces,
-            config=data.get("config", {}),
-        )
+        except (LookupError, TypeError, ValueError, AttributeError) as exc:
+            raise PlanMismatch(f"malformed plan ({type(exc).__name__}: {exc})") from exc
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -207,12 +218,20 @@ class MergePlan:
 
     @classmethod
     def load(cls, path: str) -> MergePlan:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path, "plan"))
 
     def content_hash(self) -> str:
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def read_json(path: str, what: str):
+    """Parse a saved JSON file; PlanMismatch if it is cut short or not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise PlanMismatch(f"{what} file {path} is not valid JSON ({exc})") from exc
 
 
 def plan_from_leaves(

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import F64, I64
 from .errors import BracketFailure, DimensionMismatch, InvalidParams
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -70,7 +71,7 @@ class HouseholderBlock:
 
     start: int
     stop: int
-    reflector: np.ndarray  # unit vector u of length stop - start
+    reflector: F64         # unit vector u of length stop - start
     first_sign: float      # +-1 applied to the leading coordinate after H
 
     def apply_t(self, x: np.ndarray) -> None:
@@ -96,28 +97,32 @@ class DeflationRecord:
     """
 
     size: int
-    kept: np.ndarray
-    dropped_zero: np.ndarray
-    rotated: np.ndarray
+    kept: I64
+    dropped_zero: I64
+    rotated: I64
     householder_blocks: tuple[HouseholderBlock, ...]
-    z_deflated: np.ndarray
+    z_deflated: F64
 
 
 @dataclass(frozen=True, eq=False)
 class SecularSolution:
     """Roots of the secular equation for one deflated update.
 
-    lambda_new[j] = lambda_old[origins[j]] + offsets[j]; keeping the
-    (origin, offset) pair preserves full relative accuracy of the pole
-    distances used everywhere downstream.
+    Root j is lambda_old[origins[j]] + offsets[j]; keeping the (origin,
+    offset) pair preserves full relative accuracy of the pole distances
+    used everywhere downstream.
     """
 
-    lambda_old: np.ndarray
-    lambda_new: np.ndarray
-    z: np.ndarray
+    lambda_old: F64
+    z: F64
     rho: float
-    origins: np.ndarray
-    offsets: np.ndarray
+    origins: I64
+    offsets: F64
+
+    @property
+    def lambda_new(self) -> np.ndarray:
+        """The updated eigenvalues, rebuilt from (origin, offset) pairs."""
+        return self.lambda_old[self.origins] + self.offsets
 
     @property
     def trace_defect(self) -> float:
@@ -130,20 +135,26 @@ class SecularSolution:
 class CauchyFactor:
     """Structured orthogonal transform of one rank-one update.
 
-    Acts on vectors of length `size` as identity outside the affected set:
-    forward = post-deflation Cauchy-block transpose after the Householder
-    rotations, i.e. the map from old-basis to new-basis spectral coefficients.
-    Only O(|affected|) data is stored; the dense Cauchy block is rebuilt in
-    column chunks on every apply.
+    Acts on vectors of length `size` as identity outside the affected set
+    (the deflation's kept indices): forward = post-deflation Cauchy-block
+    transpose after the Householder rotations, i.e. the map from old-basis
+    to new-basis spectral coefficients. Only O(|affected|) data is stored;
+    the dense Cauchy block is rebuilt in column chunks on every apply.
     """
 
-    size: int
-    affected: np.ndarray
     solution: SecularSolution
     deflation: DeflationRecord
-    zhat: np.ndarray         # Loewner-consistent z over `affected`
-    column_norms: np.ndarray
-    column_signs: np.ndarray
+    zhat: F64                # Loewner-consistent z over `affected`
+    column_norms: F64
+    column_signs: F64
+
+    @property
+    def size(self) -> int:
+        return self.deflation.size
+
+    @property
+    def affected(self) -> np.ndarray:
+        return self.deflation.kept
 
     @property
     def is_identity(self) -> bool:
@@ -197,10 +208,6 @@ class CauchyFactor:
 
     def dense(self) -> np.ndarray:
         return self.apply(np.eye(self.size))
-
-
-def apply_factor(f: CauchyFactor, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-    return f.apply(x, transpose=transpose)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +514,7 @@ def solve_secular(
         raise InvalidParams("rho must be nonzero")
     if lam.size == 0:
         return SecularSolution(
-            lambda_old=lam, lambda_new=lam.copy(), z=z, rho=rho,
+            lambda_old=lam, z=z, rho=rho,
             origins=np.zeros(0, dtype=np.int64), offsets=np.zeros(0),
         )
     if np.any(np.diff(lam) <= 0.0):
@@ -521,15 +528,13 @@ def solve_secular(
         origins = (m - 1) - inner.origins[::-1]
         offsets = -inner.offsets[::-1]
         return SecularSolution(
-            lambda_old=lam, lambda_new=lam[origins] + offsets, z=z, rho=rho,
-            origins=origins, offsets=offsets,
+            lambda_old=lam, z=z, rho=rho, origins=origins, offsets=offsets,
         )
 
     zeta = rho * z * z
     origins, tau = _solve_roots(lam, zeta)
     return SecularSolution(
-        lambda_old=lam, lambda_new=lam[origins] + tau, z=z, rho=rho,
-        origins=origins, offsets=tau,
+        lambda_old=lam, z=z, rho=rho, origins=origins, offsets=tau,
     )
 
 
@@ -628,27 +633,23 @@ def _cauchy_apply(sol, zhat, norms, signs, x, transpose):
     return out.reshape(shape)
 
 
-def build_cauchy_factor(
-    record: DeflationRecord, sol: SecularSolution, size: int | None = None
-) -> CauchyFactor:
+def build_cauchy_factor(record: DeflationRecord, sol: SecularSolution) -> CauchyFactor:
     """Assemble the orthogonal factor for a deflated, solved rank-one update.
 
-    `record` indices define the factor's coordinate space; `size` defaults to
-    record.size. An empty kept set yields an identity factor.
+    `record` indices define the factor's coordinate space. An empty kept set
+    yields an identity factor.
     """
-    size = record.size if size is None else size
-    kept = record.kept
-    if kept.size == 0:
+    if record.kept.size == 0:
         empty = np.zeros(0)
         return CauchyFactor(
-            size=size, affected=kept, solution=sol, deflation=record,
+            solution=sol, deflation=record,
             zhat=empty, column_norms=empty, column_signs=empty,
         )
     zhat, norms, signs = _assemble_factor_data(
         sol.lambda_old, sol.origins, sol.offsets, sol.rho, np.sign(sol.z)
     )
     return CauchyFactor(
-        size=size, affected=kept, solution=sol, deflation=record,
+        solution=sol, deflation=record,
         zhat=zhat, column_norms=norms, column_signs=signs,
     )
 

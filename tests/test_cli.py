@@ -59,6 +59,38 @@ class TestFactorizeCmd:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("drop_tree", "malformed plan"),
+            ("short_leaf", "malformed plan"),
+            ("version", "plan version 99"),
+            ("cut_bytes", "not valid JSON"),
+        ],
+    )
+    def test_bad_plan_file_exit_two(self, tmp_path, capsys, damage, message):
+        plan_path = tmp_path / "plan.json"
+        graph_path = tmp_path / "g.txt"
+        assert main(
+            ["partition", "--ba", "60", "2", "3", "--out", str(plan_path),
+             "--graph-out", str(graph_path)]
+        ) == 0
+        text = plan_path.read_text()
+        data = json.loads(text)
+        if damage == "drop_tree":
+            del data["tree"]
+        elif damage == "short_leaf":
+            data["leaves"][0] = data["leaves"][0][:-1]
+        elif damage == "version":
+            data["version"] = 99
+        plan_path.write_text(text[: len(text) // 2] if damage == "cut_bytes"
+                             else json.dumps(data))
+        capsys.readouterr()
+        code = main(["factorize", str(graph_path), "--plan", str(plan_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestBenchCmd:
     def test_nodes_mode_csv_schema(self, tmp_path):
@@ -185,25 +217,25 @@ class TestFilterCmd:
         fpath = Path(self._factorize(tmp_path, p3_file))
         text = fpath.read_text()
         data = json.loads(text)
+        factor = data["history"][0]["steps"][0]["factor"]
         if damage == "drop_key":
-            del data["history"][0]["steps"][0]["zhat"]
+            del factor["zhat"]
         elif damage == "plan_hash":
             data["plan_hash"] = "0" * 16
         elif damage == "version":
             data["version"] = 99
         elif damage == "short_zhat":
-            step = data["history"][0]["steps"][0]
-            step["zhat"] = step["zhat"][:-1]
+            factor["zhat"] = factor["zhat"][:-1]
         elif damage == "perm_length":
             rec = data["history"][0]
             rec["steps"][0]["perm"] = list(range(rec["stop"] - rec["start"] + 1))
         elif damage == "text_zhat":
-            data["history"][0]["steps"][0]["zhat"][0] = "x"
+            factor["zhat"][0] = "x"
         elif damage == "short_level_lambdas":
             node = str(data["history"][0]["node_id"])
             data["level_lambdas"][node] = data["level_lambdas"][node][:-1]
         elif damage == "origin_index":
-            data["history"][0]["steps"][0]["origins"][0] = 999
+            factor["solution"]["origins"][0] = 999
         if damage == "cut_bytes":
             fpath.write_text(text[: len(text) // 2])
         else:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from cauchygft import factorization
 from cauchygft.errors import DimensionMismatch, PlanMismatch, TooLarge
-from cauchygft.factorization import FactorizedGft, MergeRecord, factorize
+from cauchygft.factorization import FactorizedGft, MergeRecord, MergeStep, factorize
 from cauchygft.filters import (
     FilterLayerConfig,
     _node_multiplier,
@@ -18,7 +19,14 @@ from cauchygft.filters import (
 from cauchygft.graph import Graph, barabasi_albert, build_laplacian, dense_eig
 from cauchygft.partition import build_plan
 from cauchygft.plan import MergePlan, plan_from_leaves
-from cauchygft.secular import _DENSE_CACHE_MAX, rank_one_update_factor
+from cauchygft.secular import (
+    _DENSE_CACHE_MAX,
+    CauchyFactor,
+    DeflationRecord,
+    HouseholderBlock,
+    SecularSolution,
+    rank_one_update_factor,
+)
 
 
 def two_block_plan(g):
@@ -214,15 +222,10 @@ class TestReconstructOperator:
         op = self.f.reconstruct_operator(ind)
         assert np.linalg.norm(op - np.full((60, 60), 1.0 / 60)) <= 1e-8
 
-    def test_too_large(self):
-        f = FactorizedGft(
-            plan=self.f.plan, kind=self.f.kind, leaf_bases=self.f.leaf_bases,
-            history=self.f.history, lambda_final=self.f.lambda_final,
-            level_lambdas=self.f.level_lambdas, plan_hash=self.f.plan_hash,
-            dense_limit=10,
-        )
+    def test_too_large(self, monkeypatch):
+        monkeypatch.setattr(factorization, "DENSE_LIMIT", 10)
         with pytest.raises(TooLarge):
-            f.reconstruct_operator(np.ones(60))
+            self.f.reconstruct_operator(np.ones(60))
 
 
 class TestStructure:
@@ -309,8 +312,76 @@ class TestSerialization:
         path = tmp_path / "f.json"
         f.save(str(path))
         data = json.loads(path.read_text())
-        assert data["version"] == 1
+        assert data["version"] == factorization.GFT_VERSION
         assert data["plan_hash"] == f.plan.content_hash()
+
+    @staticmethod
+    def deflating_transform():
+        # the 1e-40 bridge deflates fully; the other rotates a repeated pair
+        g = Graph.from_edges(
+            6,
+            [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0), (2, 3, 1e-40),
+             (0, 5, 1.0)],
+        )
+        return factorize(g, plan_from_leaves(g, [[0, 1, 2], [3, 4, 5]]))
+
+    def test_round_trip_every_field(self, tmp_path):
+        f = self.deflating_transform()
+        steps = [st for rec in f.history for st in rec.steps]
+        assert any(st.perm is None for st in steps)
+        assert any(st.perm is not None for st in steps)
+        assert any(st.factor.affected.size == 0 for st in steps)
+        path = tmp_path / "f.json"
+        f.save(str(path))
+        assert "lambda_new" not in path.read_text()
+        loaded = FactorizedGft.load(str(path))
+        seen = set()
+
+        def same(a, b, where):
+            assert type(a) is type(b), where
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), where
+            elif isinstance(a, MergePlan):
+                assert a.to_dict() == b.to_dict(), where
+            elif dataclasses.is_dataclass(a):
+                seen.add(type(a))
+                for fl in dataclasses.fields(a):
+                    if fl.init:
+                        same(getattr(a, fl.name), getattr(b, fl.name), f"{where}.{fl.name}")
+            elif isinstance(a, (list, tuple, dict)):
+                assert len(a) == len(b), where
+                keys = list(a) if isinstance(a, dict) else range(len(a))
+                assert keys == (list(b) if isinstance(b, dict) else range(len(b))), where
+                for k in keys:
+                    same(a[k], b[k], f"{where}[{k}]")
+            else:
+                assert a == b, where
+
+        same(f, loaded, "transform")
+        assert seen >= {
+            FactorizedGft, MergeRecord, MergeStep, CauchyFactor,
+            SecularSolution, DeflationRecord, HouseholderBlock,
+        }
+        (empty,) = [st.factor for rec in loaded.history for st in rec.steps
+                    if st.factor.affected.size == 0]
+        assert empty.affected.dtype == empty.solution.origins.dtype == np.int64
+        x = np.random.default_rng(5).standard_normal((6, 3))
+        assert np.array_equal(f.forward(x), loaded.forward(x))
+
+    def test_version_one_file_refused(self):
+        data = self.deflating_transform().to_dict()
+        data["version"] = 1
+        with pytest.raises(PlanMismatch, match="version 1"):
+            FactorizedGft.from_dict(data)
+
+    @pytest.mark.parametrize("text", ["", "{\"version\": 2, \"plan\"", "not json"])
+    def test_unreadable_file_raises_plan_mismatch(self, tmp_path, text):
+        path = tmp_path / "f.json"
+        path.write_text(text)
+        with pytest.raises(PlanMismatch, match="not valid JSON"):
+            FactorizedGft.load(str(path))
+        with pytest.raises(PlanMismatch, match="not valid JSON"):
+            MergePlan.load(str(path))
 
 
 def walk_forward(f, x, cfg=None):

@@ -7,7 +7,6 @@ from cauchygft.graph import (
     barabasi_albert,
     build_laplacian,
     dense_eig,
-    edge_updates,
     read_graph,
     write_graph,
 )
@@ -18,11 +17,14 @@ def p3():
 
 
 def rank_one_sum(g):
-    """Independent oracle: accumulate rho v v^T densely."""
+    """Independent oracle: sum of w (e_u - e_v)(e_u - e_v)^T plus self-loops."""
     total = np.zeros((g.n, g.n))
-    for upd in edge_updates(g):
-        v = upd.dense_v(g.n)
-        total += upd.rho * np.outer(v, v)
+    for u, v, w in zip(g.uu, g.vv, g.ww):
+        vec = np.zeros(g.n)
+        vec[[u, v]] = (1.0, -1.0)
+        total += w * np.outer(vec, vec)
+    for i, rho in g.self_loops.items():
+        total[i, i] += rho
     return total
 
 
@@ -91,19 +93,6 @@ class TestLaplacian:
 
 
 class TestEdgeUpdates:
-    def test_single_edge(self):
-        g = Graph.from_edges(2, [(0, 1, 2.0)])
-        (upd,) = edge_updates(g)
-        assert upd.indices == (0, 1)
-        assert upd.values == (1.0, -1.0)
-        assert upd.rho == 2.0
-
-    def test_self_loop(self):
-        g = Graph.from_edges(1, [], {0: 0.5})
-        (upd,) = edge_updates(g)
-        assert upd.indices == (0,)
-        assert upd.rho == 0.5
-
     def test_p3_sum_reconstructs(self):
         g = p3()
         assert np.array_equal(rank_one_sum(g), build_laplacian(g).dense())
