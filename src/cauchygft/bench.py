@@ -64,7 +64,6 @@ def _sweep_cell(
     k_target: int,
     levels: int,
     repeats: int,
-    threads: int,
     run_ed: bool,
     verify: bool,
     cfg_hash: str,
@@ -81,9 +80,7 @@ def _sweep_cell(
     plan, g_sparse = res.plan, res.graph
     k_actual = plan.max_interface_size
 
-    t_cf, fact = median_time(
-        lambda: factorize(g_sparse, plan, threads=threads), repeats
-    )
+    t_cf, fact = median_time(lambda: factorize(g_sparse, plan), repeats)
 
     records = [
         BenchRecord(n, k_actual, seed, "PRE", t_pre, None, cfg_hash),
@@ -108,7 +105,6 @@ def bench_nodes(
     repeats: int = 3,
     k_target: int = 5,
     levels: int = 2,
-    threads: int = 1,
     ed_max: int | None = None,
     verify_max: int = 0,
 ) -> list[BenchRecord]:
@@ -126,7 +122,7 @@ def bench_nodes(
         run_ed = ed_max is None or n <= ed_max
         out.extend(
             _sweep_cell(
-                n, m, seed, k_target, levels, repeats, threads,
+                n, m, seed, k_target, levels, repeats,
                 run_ed=run_ed, verify=n <= verify_max, cfg_hash=cfg,
             )
         )
@@ -140,7 +136,6 @@ def bench_cut(
     seed: int = 0,
     repeats: int = 3,
     levels: int = 2,
-    threads: int = 1,
 ) -> list[BenchRecord]:
     """Runtime vs interface size at fixed n (CF and PRE series)."""
     if not cuts:
@@ -155,7 +150,7 @@ def bench_cut(
     for k in cuts:
         out.extend(
             _sweep_cell(
-                n, m, seed, k, levels, repeats, threads,
+                n, m, seed, k, levels, repeats,
                 run_ed=False, verify=False, cfg_hash=cfg,
             )
         )

@@ -97,7 +97,7 @@ def cmd_factorize(args) -> int:
     else:
         res = _plan_for(args, g)
         plan, g_used = res.plan, res.graph
-    fact = factorize(g_used, plan, kind=args.kind, threads=args.threads)
+    fact = factorize(g_used, plan, kind=args.kind)
     print(
         f"factorized n={g_used.n} leaves={len(plan.leaves)} "
         f"k={plan.max_interface_size} bridges={plan.total_bridges}"
@@ -191,14 +191,14 @@ def cmd_bench(args) -> int:
         sizes = [int(s) for s in args.sizes.split(",") if s]
         records = bench_mod.bench_nodes(
             sizes, m=args.m, seed=args.seed, repeats=args.repeats,
-            k_target=args.k, levels=args.levels, threads=args.threads,
+            k_target=args.k, levels=args.levels,
             ed_max=args.ed_max, verify_max=args.verify_max,
         )
     else:
         cuts = [int(s) for s in args.cuts.split(",") if s]
         records = bench_mod.bench_cut(
             cuts, n=args.n, m=args.m, seed=args.seed,
-            repeats=args.repeats, levels=args.levels, threads=args.threads,
+            repeats=args.repeats, levels=args.levels,
         )
     if args.out:
         bench_mod.write_csv(records, args.out)
@@ -257,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["combinatorial", "normalized"],
                    default="combinatorial")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--verify", action="store_true",
                    help="compare against the dense eigensolver (small n)")
     p.add_argument("--dense-limit", type=int, default=DENSE_LIMIT)
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--ed-max", type=int, default=None,
                    help="skip the dense baseline above this n")
     p.add_argument("--verify-max", type=int, default=0,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -296,16 +295,11 @@ def _bridge_vector(plan, u, v, w, kind, inv_sqrt_deg, n):
     return z
 
 
-def factorize(
-    g: Graph,
-    plan: MergePlan,
-    kind: str = COMBINATORIAL,
-    threads: int = 1,
-) -> FactorizedGft:
+def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> FactorizedGft:
     """Run the hierarchical merge and return the factorized transform.
 
-    Same-level merges touch disjoint position ranges and run concurrently
-    when threads > 1; the bridges inside one interface stay sequential.
+    Leaves are solved in order, then the merges bottom-up, each interface's
+    bridges one after another.
     """
     plan.validate(g)
     n = g.n
@@ -319,22 +313,15 @@ def factorize(
     elif kind != COMBINATORIAL:
         raise PlanMismatch(f"unknown Laplacian kind {kind!r}")
 
-    num_leaves = len(plan.leaves)
-    leaf_bases: list[np.ndarray | None] = [None] * num_leaves
-    leaf_lams: list[np.ndarray | None] = [None] * num_leaves
-
-    def do_leaf(i: int) -> None:
-        block = _leaf_block(g, plan.leaves[i], kind, inv_sqrt_deg)
-        lam, basis = dense_eig(block)
-        leaf_bases[i] = basis
-        leaf_lams[i] = lam
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(do_leaf, range(num_leaves)))
-    else:
-        for i in range(num_leaves):
-            do_leaf(i)
+    leaf_bases: list[np.ndarray] = []
+    node_lam: dict[int, np.ndarray] = {}
+    level_lambdas: dict[int, np.ndarray] = {}
+    for i, leaf in enumerate(plan.leaves):
+        lam, basis = dense_eig(_leaf_block(g, leaf, kind, inv_sqrt_deg))
+        leaf_bases.append(basis)
+        nid = plan.leaf_node_id[i]
+        node_lam[nid] = lam
+        level_lambdas[nid] = lam.copy()
 
     # projected bridge vectors, keyed by canonical edge; full length for
     # simple range views (support only ever grows within subtree ranges)
@@ -354,14 +341,7 @@ def factorize(
             zvecs[key] = z
             edge_leafpair[key] = (int(plan.leaf_of[u]), int(plan.leaf_of[v]))
 
-    node_lam: dict[int, np.ndarray] = {}
-    level_lambdas: dict[int, np.ndarray] = {}
-    for i in range(num_leaves):
-        nid = plan.leaf_node_id[i]
-        node_lam[nid] = leaf_lams[i]
-        level_lambdas[nid] = leaf_lams[i].copy()
-
-    records: dict[int, MergeRecord] = {}
+    history: list[MergeRecord] = []
 
     def carried(key: tuple[int, int], nid: int) -> bool:
         """Whether merge nid carries the bridge's vector.
@@ -375,7 +355,7 @@ def factorize(
         o0, o1 = plan.ranges[owner[key]]
         return (la in leafset or lb in leafset) and o0 <= s0 and s1 <= o1
 
-    def do_merge(nd) -> None:
+    for nd in plan.internal_nodes():
         nid = nd.id
         s0, s1 = plan.ranges[nid]
         a, b = nd.children
@@ -419,30 +399,18 @@ def factorize(
             steps.append(step)
         node_lam[nid] = lam
         level_lambdas[nid] = lam.copy()
-        records[nid] = MergeRecord(
-            node_id=nid, start=s0, stop=s1, concat_perm=concat_perm, steps=steps
+        history.append(
+            MergeRecord(
+                node_id=nid, start=s0, stop=s1, concat_perm=concat_perm, steps=steps
+            )
         )
 
-    internal = plan.internal_nodes()
-    if threads > 1:
-        by_level: dict[int, list] = {}
-        for nd in internal:
-            by_level.setdefault(plan.level[nd.id], []).append(nd)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for lvl in sorted(by_level):
-                list(pool.map(do_merge, by_level[lvl]))
-    else:
-        for nd in internal:
-            do_merge(nd)
-
-    history = [records[nd.id] for nd in internal]
-    lambda_final = node_lam[plan.root_id]
     return FactorizedGft(
         plan=plan,
         kind=kind,
-        leaf_bases=[b for b in leaf_bases],
+        leaf_bases=leaf_bases,
         history=history,
-        lambda_final=lambda_final,
+        lambda_final=node_lam[plan.root_id],
         level_lambdas=level_lambdas,
         plan_hash=plan.content_hash(),
     )

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import csgraph
 
 from .errors import (
     ConvergenceFailure,
@@ -117,24 +118,15 @@ class Graph:
         return Graph.from_edges(nodes.size, edges, loops), nodes
 
     def connected_components(self) -> list[np.ndarray]:
-        """Components as sorted node arrays, ordered by smallest member."""
-        parent = np.arange(self.n, dtype=np.int64)
+        """Components as sorted node arrays, ordered by smallest member.
 
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for u, v in zip(self.uu, self.vv):
-            ru, rv = find(int(u)), find(int(v))
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-        roots = np.asarray([find(i) for i in range(self.n)])
-        comps = []
-        for r in np.unique(roots):
-            comps.append(np.flatnonzero(roots == r))
-        return comps
+        csgraph numbers components as its scan over nodes 0..n-1 first meets
+        them, so label order is smallest-member order.
+        """
+        count, labels = csgraph.connected_components(self.adjacency(), directed=False)
+        order = np.argsort(labels, kind="stable")
+        ends = np.cumsum(np.bincount(labels, minlength=count))
+        return np.split(order, ends[:-1]) if count else []
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.connected_components()) == 1

@@ -3,7 +3,7 @@
 A split is accepted only when the modeled factorization work it leaves
 behind beats a dense eigendecomposition of the block:
 
-    merge_cost(n, k) + max(eig_cost(n_1), eig_cost(n_2)) < eig_cost(n),
+    merge(n, k) + max(eig(n_1), eig(n_2)) < eig(n),
 
 with k the interface size after any sparsification. Cuts come from a
 quantile sweep over the Fiedler vector; disconnected blocks split along
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
@@ -31,26 +30,19 @@ _DENSE_FALLBACK_N = 2048
 
 @dataclass(frozen=True)
 class CostModel:
-    """eig_cost(n) for a dense leaf solve, merge_cost(n, k) for one interface.
+    """eig(n) for a dense leaf solve, merge(n, k) for one interface.
 
-    Defaults are the cubic dense solve and the n^2 k merge term with unit
-    coefficients; both are configurable, and arbitrary callables override
-    the coefficient form entirely.
+    The cubic dense solve and the n^2 k merge term, each with its own
+    coefficient (unit by default).
     """
 
     eig_coeff: float = 1.0
     merge_coeff: float = 1.0
-    eig_cost: Callable[[int], float] | None = None
-    merge_cost: Callable[[int, int], float] | None = None
 
     def eig(self, n: int) -> float:
-        if self.eig_cost is not None:
-            return self.eig_cost(n)
         return self.eig_coeff * float(n) ** 3
 
     def merge(self, n: int, k: int) -> float:
-        if self.merge_cost is not None:
-            return self.merge_cost(n, k)
         return self.merge_coeff * float(n) ** 2 * k
 
     def accepts(self, n: int, n_a: int, n_b: int, k: int) -> bool:
@@ -58,10 +50,7 @@ class CostModel:
         return lhs < self.eig(n)
 
     def describe(self) -> dict:
-        return {
-            "eig_coeff": self.eig_coeff if self.eig_cost is None else "custom",
-            "merge_coeff": self.merge_coeff if self.merge_cost is None else "custom",
-        }
+        return {"eig_coeff": self.eig_coeff, "merge_coeff": self.merge_coeff}
 
 
 @dataclass(eq=False)
@@ -223,7 +212,6 @@ def build_plan(
     seed: int = 0,
     quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
     force_levels: int = 0,
-    fiedler_iters: int = 40,
 ) -> PlanResult:
     """Recursive bisection under the cost rule; returns plan + (sparsified) graph.
 

@@ -92,38 +92,47 @@ def _jacobi_block_pcg(lap: sp.csr_matrix, rhs: np.ndarray, tol: float, maxiter: 
     there, which fixes the solution up to an irrelevant constant shift.
     Returns the solution and the number of columns still above tol after
     maxiter iterations (0 when every column converged).
+
+    The n x k work arrays are allocated once and written with out=; only the
+    sparse product allocates per iteration. Each element sees the ufuncs of
+    the update written with fresh arrays (IEEE products and sums commute),
+    and every column norm is np.linalg.norm's axis-0 sum of squares, so the
+    result is bit for bit that of the fresh-array loop.
     """
-    n, k = rhs.shape
     diag = lap.diagonal()
     if np.any(diag <= 0.0):
         raise SolverNotConverged("nonpositive diagonal; graph must have edges")
-    minv = 1.0 / diag
+    minv = 1.0 / diag[:, None]
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    z = minv[:, None] * r
+    z = np.multiply(minv, r)
     z -= z.mean(axis=0, keepdims=True)
     p = z.copy()
+    work = np.empty_like(r)
     rz = np.einsum("ij,ij->j", r, z)
     bnorm = np.linalg.norm(rhs, axis=0)
     bnorm[bnorm == 0.0] = 1.0
+
+    def residual_norms() -> np.ndarray:
+        return np.sqrt(np.add.reduce(np.multiply(r, r, out=work), axis=0))
+
     for _ in range(maxiter):
-        rn = np.linalg.norm(r, axis=0)
-        active = rn > tol * bnorm
+        active = residual_norms() > tol * bnorm
         if not np.any(active):
             return x, 0
         q = lap @ p
         pq = np.einsum("ij,ij->j", p, q)
         alpha = np.where(active & (pq > 0.0), rz / np.where(pq == 0.0, 1.0, pq), 0.0)
-        x += alpha[None, :] * p
-        r -= alpha[None, :] * q
-        z = minv[:, None] * r
+        x += np.multiply(alpha, p, out=work)
+        r -= np.multiply(alpha, q, out=q)
+        np.multiply(minv, r, out=z)
         z -= z.mean(axis=0, keepdims=True)
         rz_new = np.einsum("ij,ij->j", r, z)
         beta = np.where(rz > 0.0, rz_new / np.where(rz == 0.0, 1.0, rz), 0.0)
-        p = z + beta[None, :] * p
+        p *= beta
+        p += z
         rz = rz_new
-    rn = np.linalg.norm(r, axis=0) / bnorm
-    return x, int(np.sum(rn > tol))
+    return x, int(np.sum(residual_norms() / bnorm > tol))
 
 
 def jl_dimension(n: int, eps_jl: float) -> int:

@@ -46,6 +46,15 @@ class TestFactorizeCmd:
     def test_missing_input_exit_two(self, capsys):
         assert main(["factorize"]) == 2
 
+    @pytest.mark.parametrize(
+        "command", [["factorize", "--ba", "20", "2", "0"], ["bench", "--mode", "nodes"]]
+    )
+    def test_threads_option_refused(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_saved_plan_reuse(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"
         graph_path = tmp_path / "g.txt"

@@ -136,20 +136,13 @@ class TestFactorizeExactness:
         f = factorize(g, plan)
         check_against_dense(g, f)
 
-    def test_threads_match_sequential(self):
-        g = barabasi_albert(150, 2, seed=19)
-        plan = four_block_plan(g)
-        f1 = factorize(g, plan, threads=1)
-        f2 = factorize(g, plan, threads=4)
-        assert np.array_equal(f1.lambda_final, f2.lambda_final)
-        x = np.random.default_rng(2).standard_normal((150, 4))
-        assert np.array_equal(f1.forward(x), f2.forward(x))
-        # the default plan has dozens of merges on each level, run concurrently
+    def test_repeat_calls_bit_identical(self):
+        # the default plan has dozens of merges; calls on one plan repeat
+        # every factor array, bit for bit
         g = barabasi_albert(120, 2, seed=0)
         plan = build_plan(g, seed=0).plan
-        assert factor_bytes(factorize(g, plan, threads=1)) == factor_bytes(
-            factorize(g, plan, threads=2)
-        )
+        assert len(plan.internal_nodes()) > 20
+        assert factor_bytes(factorize(g, plan)) == factor_bytes(factorize(g, plan))
 
     def test_disconnected_blocks(self):
         # two components end up in separate leaves; empty interface at the root

@@ -47,6 +47,16 @@ class TestGraph:
         assert comps == [[0, 1], [2], [3, 4]]
         assert not g.is_connected()
 
+    def test_components_interleaved_with_isolated_nodes(self):
+        # members interleave across components; 3, 6 and 8 are isolated
+        g = Graph.from_edges(9, [(0, 5, 1.0), (1, 4, 1.0), (2, 7, 1.0), (4, 7, 2.0)])
+        comps = g.connected_components()
+        assert [c.tolist() for c in comps] == [[0, 5], [1, 2, 4, 7], [3], [6], [8]]
+        assert all(c.dtype == np.int64 for c in comps)
+        edgeless = Graph.from_edges(3, []).connected_components()
+        assert [c.tolist() for c in edgeless] == [[0], [1], [2]]
+        assert Graph.from_edges(0, []).connected_components() == []
+
 
 class TestLaplacian:
     def test_single_edge(self):

@@ -332,3 +332,29 @@ class TestCacheBlocking:
             )
             results.append([a.tobytes() for a in arrays])
         assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("m, rows", [(1500, 43), (3400, 19), (2000, 7)])
+    def test_reduceat_branch_matches_forward_segments(self, m, rows):
+        # the branch must keep the bits of plain forward segment sums: each
+        # row's left segment, then its right one, in one reduceat over the
+        # flattened rows; phi is the row total minus psi
+        assert m > secular._MASK_MAX_M and rows <= secular._BLOCK_ELEMS // m
+        rng = np.random.default_rng(m + rows)
+        d = np.sort(rng.uniform(0.0, 4.0, m))
+        zeta = rng.uniform(0.1, 1.0, m) ** 2
+        p_left = rng.integers(0, m - 1, rows)
+        origins = p_left + rng.integers(0, 2, rows)
+        gaps = d[p_left + 1] - d[p_left]
+        tau = np.where(origins == p_left, 0.5, -0.5) * gaps * rng.uniform(0.1, 0.9, rows)
+        delta = d[None, :] - d[origins, None]
+        delta -= tau[:, None]
+        t = zeta[None, :] / delta
+        t2 = t / delta
+        starts = np.arange(rows) * m
+        bounds = np.column_stack([starts, starts + p_left + 1]).reshape(-1)
+        left = np.add.reduceat(t.reshape(-1), bounds)[0::2]
+        left2 = np.add.reduceat(t2.reshape(-1), bounds)[0::2]
+        want = (left, left2, np.sum(t, axis=1) - left, np.sum(t2, axis=1) - left2)
+        psi, dpsi, phi, dphi = secular._split_sums(d, zeta, origins, tau, p_left)
+        for got, ref in zip((psi, dpsi, phi, dphi), want):
+            assert got.tobytes() == ref.tobytes()

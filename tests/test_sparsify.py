@@ -142,6 +142,53 @@ class TestSketchBlocks:
                 plans.append((res.plan.content_hash(), res.graph.ww.tobytes()))
             assert plans[0] == plans[1]
 
+    @staticmethod
+    def textbook_pcg(lap, rhs, tol, maxiter):
+        """The block PCG loop with fresh arrays each iteration (bit reference)."""
+        minv = 1.0 / lap.diagonal()
+        x = np.zeros_like(rhs)
+        r = rhs.copy()
+        z = minv[:, None] * r
+        z -= z.mean(axis=0, keepdims=True)
+        p = z.copy()
+        rz = np.einsum("ij,ij->j", r, z)
+        bnorm = np.linalg.norm(rhs, axis=0)
+        bnorm[bnorm == 0.0] = 1.0
+        for _ in range(maxiter):
+            active = np.linalg.norm(r, axis=0) > tol * bnorm
+            if not np.any(active):
+                return x, 0
+            q = lap @ p
+            pq = np.einsum("ij,ij->j", p, q)
+            alpha = np.where(active & (pq > 0.0), rz / np.where(pq == 0.0, 1.0, pq), 0.0)
+            x += alpha[None, :] * p
+            r -= alpha[None, :] * q
+            z = minv[:, None] * r
+            z -= z.mean(axis=0, keepdims=True)
+            rz_new = np.einsum("ij,ij->j", r, z)
+            beta = np.where(rz > 0.0, rz_new / np.where(rz == 0.0, 1.0, rz), 0.0)
+            p = z + beta[None, :] * p
+            rz = rz_new
+        rn = np.linalg.norm(r, axis=0) / bnorm
+        return x, int(np.sum(rn > tol))
+
+    @pytest.mark.parametrize("maxiter", [1000, 4])
+    def test_block_pcg_bit_identical_to_textbook_loop(self, maxiter):
+        # column blocks of one right-hand side matrix, as the sketch solves
+        # them: a 61-column block and a 2-column block, both strided views
+        g = barabasi_albert(300, 2, seed=6)
+        lap = build_laplacian(g).matrix
+        signs = np.random.default_rng(6).choice([-1.0, 1.0], size=(g.num_edges, 63))
+        rhs = np.zeros((g.n, 63))
+        np.add.at(rhs, g.uu, np.sqrt(g.ww)[:, None] * signs)
+        np.add.at(rhs, g.vv, -np.sqrt(g.ww)[:, None] * signs)
+        for cols in (slice(0, 61), slice(61, 63)):
+            x, unconverged = _jacobi_block_pcg(lap, rhs[:, cols], 1e-8, maxiter)
+            want, want_unconverged = self.textbook_pcg(lap, rhs[:, cols], 1e-8, maxiter)
+            assert x.tobytes() == want.tobytes()
+            assert unconverged == want_unconverged
+            assert (unconverged == 0) == (maxiter == 1000)
+
     def test_unconverged_blocks_raise_with_total_count(self, monkeypatch):
         g = barabasi_albert(208, 2, seed=4)
         k = jl_dimension(g.n, 0.5)
