@@ -289,10 +289,10 @@ def _split_sums(d, zeta, origins, tau, p_left):
     """psi/phi value+derivative sums at mu = d[origins] + tau, split at p_left.
 
     psi covers terms i <= p_left, phi the rest; derivatives are wrt mu. The
-    split halves only steer the rational model: up to _MASK_MAX_M poles they
-    come from einsum against a 0/1 mask (column i <= p_left of each root's
-    row), above it from segment sums (reduceat); totals use pairwise
-    summation for an accurate residual.
+    split halves only steer the rational model. Up to _MASK_MAX_M poles psi
+    comes from einsum against a 0/1 mask (column i <= p_left of each root's
+    row) and phi is the pairwise row total minus psi; above it both are
+    segment sums of one reduceat over the row block.
 
     Roots are swept in row blocks of about _BLOCK_ELEMS elements whose few
     temporaries stay cache resident. Every root's row is reduced on its own,
@@ -328,17 +328,20 @@ def _split_sums(d, zeta, origins, tau, p_left):
             np.less_equal(cols[None, :], p_left[sl, None], out=ml)
             left = np.einsum("ij,ij->i", tl, ml)
             left2 = np.einsum("ij,ij->i", t2l, ml)
+            psi[sl] = left
+            phi[sl] = np.sum(tl, axis=1) - left
+            dpsi[sl] = left2
+            dphi[sl] = np.sum(t2l, axis=1) - left2
         else:
-            # segment sums up to each root's split column, mask-free
+            # each root's row splits into its left segment (columns up to
+            # its split) and its right one; one reduceat sums both, mask-free
             bl = bounds[: 2 * r]
             bl[0::2] = row_starts[:r]
             bl[1::2] = row_starts[:r] + p_left[sl] + 1
-            left = np.add.reduceat(tl.reshape(-1), bl)[0::2]
-            left2 = np.add.reduceat(t2l.reshape(-1), bl)[0::2]
-        psi[sl] = left
-        phi[sl] = np.sum(tl, axis=1) - left
-        dpsi[sl] = left2
-        dphi[sl] = np.sum(t2l, axis=1) - left2
+            seg = np.add.reduceat(tl.reshape(-1), bl)
+            seg2 = np.add.reduceat(t2l.reshape(-1), bl)
+            psi[sl], phi[sl] = seg[0::2], seg[1::2]
+            dpsi[sl], dphi[sl] = seg2[0::2], seg2[1::2]
     return psi, dpsi, phi, dphi
 
 

@@ -31,14 +31,16 @@ from .graph import Graph, Laplacian, build_laplacian
 JL_MIN_DIM = 20
 # widest column block of one resistance-sketch PCG solve. Every CG column
 # evolves on its own (per-column step sizes, axis-0 reductions), so the
-# width moves speed and memory, never bits; 64 columns keep a block's work
-# arrays small and give every CPU blocks to solve. Blocks are split evenly
-# below this width: a 1-column block would reduce as a contiguous vector
-# (pairwise sums) and change the rounding.
+# width moves speed and memory, never bits. It also sets each worker's
+# memory, (E + 6n) doubles per column; 64 columns keep that small and give
+# every CPU blocks to solve. Blocks are split evenly below this width: a
+# 1-column block would reduce as a contiguous vector (pairwise sums) and
+# change the rounding.
 _SKETCH_COLS = 64
-# elements per chunk of the random-sign draw. Chunks of whole rows take the
-# generator's stream in the order one full draw does, so any size gives the
-# same signs; it bounds the int64 temporary beside the float64 matrix.
+# elements per chunk of the random-sign draw and of the resistance read-out.
+# Chunks of whole rows take the generator's stream in the order one full
+# draw does, and every resistance sums its own row, so any size gives the
+# same bits; it bounds the int64 and float64 temporaries of either pass.
 _SIGN_CHUNK_ELEMS = 1 << 18
 
 
@@ -84,7 +86,13 @@ class SpectralBoundReport:
     passed: bool
 
 
-def _jacobi_block_pcg(lap: sp.csr_matrix, rhs: np.ndarray, tol: float, maxiter: int):
+def _jacobi_block_pcg(
+    lap: sp.csr_matrix,
+    rhs: np.ndarray,
+    tol: float,
+    maxiter: int,
+    work: list[np.ndarray] | None = None,
+):
     """PCG with diagonal preconditioning on all RHS columns at once.
 
     The Laplacian is singular (constant null space on a connected graph);
@@ -93,28 +101,37 @@ def _jacobi_block_pcg(lap: sp.csr_matrix, rhs: np.ndarray, tol: float, maxiter: 
     Returns the solution and the number of columns still above tol after
     maxiter iterations (0 when every column converged).
 
-    The n x k work arrays are allocated once and written with out=; only the
-    sparse product allocates per iteration. Each element sees the ufuncs of
-    the update written with fresh arrays (IEEE products and sums commute),
-    and every column norm is np.linalg.norm's axis-0 sum of squares, so the
-    result is bit for bit that of the fresh-array loop.
+    The iterates x, r, z, p live in four flat float64 buffers (`work`, made
+    here when None), each viewed as a contiguous (n, c) array. A caller that
+    solves many blocks passes the same buffers, sized for its widest block,
+    to every call; the returned solution is then a view of work[0]. Every
+    update writes with out=; only the sparse product allocates per
+    iteration. Each element sees the ufuncs of the update written with fresh
+    arrays (IEEE products and sums commute), and every column norm is
+    np.linalg.norm's axis-0 sum of squares, so the result is bit for bit
+    that of the fresh-array loop.
     """
+    n, c = rhs.shape
+    if work is None:
+        work = [np.empty(n * c) for _ in range(4)]
+    x, r, z, p = (buf[: n * c].reshape(n, c) for buf in work)
     diag = lap.diagonal()
     if np.any(diag <= 0.0):
         raise SolverNotConverged("nonpositive diagonal; graph must have edges")
     minv = 1.0 / diag[:, None]
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    z = np.multiply(minv, r)
+    x.fill(0.0)
+    np.copyto(r, rhs)
+    np.multiply(minv, r, out=z)
     z -= z.mean(axis=0, keepdims=True)
-    p = z.copy()
-    work = np.empty_like(r)
+    np.copyto(p, z)
     rz = np.einsum("ij,ij->j", r, z)
     bnorm = np.linalg.norm(rhs, axis=0)
     bnorm[bnorm == 0.0] = 1.0
 
+    # z is dead from the top of an iteration until it is recomputed from r,
+    # so it is the scratch of the residual norms and of alpha * p
     def residual_norms() -> np.ndarray:
-        return np.sqrt(np.add.reduce(np.multiply(r, r, out=work), axis=0))
+        return np.sqrt(np.add.reduce(np.multiply(r, r, out=z), axis=0))
 
     for _ in range(maxiter):
         active = residual_norms() > tol * bnorm
@@ -123,7 +140,7 @@ def _jacobi_block_pcg(lap: sp.csr_matrix, rhs: np.ndarray, tol: float, maxiter: 
         q = lap @ p
         pq = np.einsum("ij,ij->j", p, q)
         alpha = np.where(active & (pq > 0.0), rz / np.where(pq == 0.0, 1.0, pq), 0.0)
-        x += np.multiply(alpha, p, out=work)
+        x += np.multiply(alpha, p, out=z)
         r -= np.multiply(alpha, q, out=q)
         np.multiply(minv, r, out=z)
         z -= z.mean(axis=0, keepdims=True)
@@ -161,6 +178,12 @@ def estimate_resistances(
     +-1/sqrt(k) random-sign matrix of k = max(20, ceil(24 log n / eps^2))
     rows. The sketch spans the whole graph; estimates are reported for the
     requested edges (default: all of them).
+
+    Memory: the signs are kept as bytes (E * k), the solution only at the
+    requested edges' endpoints (endpoints x k doubles), and each worker
+    solves its column blocks in (E + 6n) * _SKETCH_COLS doubles at most: its
+    block's signs as doubles, the right-hand side, the four PCG iterates and
+    the sparse product.
     """
     if not g.is_connected():
         raise Disconnected("resistance estimation requires a connected graph")
@@ -169,15 +192,22 @@ def estimate_resistances(
     else:
         req = [(int(u), int(v)) for u, v, *_ in edges]
     k = jl_dimension(g.n, eps_jl)
+    nb = -(-k // _SKETCH_COLS)
+    blocks = [slice(k * i // nb, k * (i + 1) // nb) for i in range(nb)]
+    width = max(b.stop - b.start for b in blocks)
+    # one contiguous E x w array of +-1 bytes per column block, filled from
+    # row chunks of the one sign stream
+    signs = [np.empty((g.num_edges, b.stop - b.start), dtype=np.int8) for b in blocks]
     rng = np.random.default_rng(seed)
-    signs = np.empty((g.num_edges, k))
     rows = max(1, _SIGN_CHUNK_ELEMS // k)
     for s in range(0, g.num_edges, rows):
-        chunk = signs[s : s + rows]
-        chunk[:] = rng.integers(0, 2, size=chunk.shape)
-    signs *= 2.0
-    signs -= 1.0
-    signs /= math.sqrt(k)
+        chunk = rng.integers(0, 2, size=(min(rows, g.num_edges - s), k))
+        chunk *= 2
+        chunk -= 1
+        for cols, block in zip(blocks, signs):
+            block[s : s + rows] = chunk[:, cols]
+    # +-1 * (1/sqrt(k)) is +-(1/sqrt(k)), the bits of +-1 / sqrt(k)
+    scale = 1.0 / math.sqrt(k)
     # rows of B_w have +sqrt(w) at u and -sqrt(w) at v; Y^T = B_w^T S. Row i
     # of B_w^T lists +sqrt(w) for the edges with u = i, then -sqrt(w) for
     # those with v = i, each in edge order: its product then sums every entry
@@ -194,28 +224,42 @@ def estimate_resistances(
         ),
         shape=(g.n, g.num_edges),
     )
-    sol = bt @ signs
-    del signs
     lap = build_laplacian(g).matrix
+    ends = np.array(req, dtype=np.int64).reshape(-1, 2)
+    nodes, where = np.unique(ends, return_inverse=True)
+    where = where.reshape(ends.shape)
+    kept = np.empty((nodes.size, k))
 
-    # each column block of Y^T is solved and overwritten by its solution in
-    # place, so no n x k work array exists beside it
-    def solve(cols: slice) -> int:
-        x, unconverged = _jacobi_block_pcg(lap, sol[:, cols], tol=tol, maxiter=maxiter)
-        sol[:, cols] = x
+    # worker i solves blocks i, i + workers, ... in buffers allocated here,
+    # on the calling thread: freed, their memory returns to the heap that
+    # this thread's later work reuses, not to a worker thread's arena
+    workers = min(_sketch_workers(), nb)
+    buffers = [
+        (np.empty(g.num_edges * width), [np.empty(g.n * width) for _ in range(4)])
+        for _ in range(workers)
+    ]
+
+    def solve(i: int) -> int:
+        expand, work = buffers[i]
+        unconverged = 0
+        for b in range(i, nb, workers):
+            y = expand[: signs[b].size].reshape(signs[b].shape)
+            np.multiply(signs[b], scale, out=y)
+            x, left = _jacobi_block_pcg(lap, bt @ y, tol=tol, maxiter=maxiter, work=work)
+            kept[:, blocks[b]] = x[nodes]
+            unconverged += left
         return unconverged
 
-    nb = -(-k // _SKETCH_COLS)
-    blocks = [slice(k * i // nb, k * (i + 1) // nb) for i in range(nb)]
-    with ThreadPoolExecutor(max_workers=min(_sketch_workers(), len(blocks))) as pool:
-        unconverged = sum(pool.map(solve, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        unconverged = sum(pool.map(solve, range(workers)))
     if unconverged:
         raise SolverNotConverged(
             f"block PCG: {unconverged} of {k} columns above tol after {maxiter} iterations"
         )
-    ends = np.array(req, dtype=np.int64).reshape(-1, 2)
-    diff = sol[ends[:, 0]] - sol[ends[:, 1]]
-    vals = np.sum(diff * diff, axis=1)
+    vals = np.empty(len(req))
+    for s in range(0, len(req), rows):
+        diff = kept[where[s : s + rows, 0]] - kept[where[s : s + rows, 1]]
+        vals[s : s + rows] = np.sum(diff * diff, axis=1)
     return ResistanceEstimate(
         edges=req, values=vals, projection_dim=k, epsilon_jl=eps_jl
     )

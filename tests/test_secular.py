@@ -337,7 +337,7 @@ class TestCacheBlocking:
     def test_reduceat_branch_matches_forward_segments(self, m, rows):
         # the branch must keep the bits of plain forward segment sums: each
         # row's left segment, then its right one, in one reduceat over the
-        # flattened rows; phi is the row total minus psi
+        # flattened rows; psi is the left segment and phi the right one
         assert m > secular._MASK_MAX_M and rows <= secular._BLOCK_ELEMS // m
         rng = np.random.default_rng(m + rows)
         d = np.sort(rng.uniform(0.0, 4.0, m))
@@ -352,9 +352,9 @@ class TestCacheBlocking:
         t2 = t / delta
         starts = np.arange(rows) * m
         bounds = np.column_stack([starts, starts + p_left + 1]).reshape(-1)
-        left = np.add.reduceat(t.reshape(-1), bounds)[0::2]
-        left2 = np.add.reduceat(t2.reshape(-1), bounds)[0::2]
-        want = (left, left2, np.sum(t, axis=1) - left, np.sum(t2, axis=1) - left2)
+        seg = np.add.reduceat(t.reshape(-1), bounds)
+        seg2 = np.add.reduceat(t2.reshape(-1), bounds)
+        want = (seg[0::2], seg2[0::2], seg[1::2], seg2[1::2])
         psi, dpsi, phi, dphi = secular._split_sums(d, zeta, origins, tau, p_left)
         for got, ref in zip((psi, dpsi, phi, dphi), want):
             assert got.tobytes() == ref.tobytes()

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,37 @@ class TestSketchBlocks:
             assert x.tobytes() == want.tobytes()
             assert unconverged == want_unconverged
             assert (unconverged == 0) == (maxiter == 1000)
+
+    def test_block_pcg_reuses_caller_buffers_bit_for_bit(self):
+        # one set of work buffers, sized for the widest block, serves a wide
+        # block and then a narrow one left holding the wide block's values
+        g = barabasi_albert(300, 2, seed=6)
+        lap = build_laplacian(g).matrix
+        rhs = np.random.default_rng(8).standard_normal((g.n, 63))
+        rhs -= rhs.mean(axis=0)
+        work = [np.empty(g.n * 61) for _ in range(4)]
+        for cols in (slice(0, 61), slice(61, 63)):
+            x, unconverged = _jacobi_block_pcg(lap, rhs[:, cols], 1e-8, 1000, work)
+            want, _ = self.textbook_pcg(lap, rhs[:, cols], 1e-8, 1000)
+            assert unconverged == 0
+            assert np.shares_memory(x, work[0]) and x.flags.c_contiguous
+            assert x.tobytes() == want.tobytes()
+
+    def test_sketch_memory_below_sign_and_solution_matrices(self, monkeypatch):
+        # the sketch keeps signs as bytes, only endpoint rows of the solution
+        # and per-worker block buffers: its peak stays below what an E x k
+        # float64 sign matrix and an n x k solution alone would take
+        g = barabasi_albert(3000, 2, seed=0)
+        k = jl_dimension(g.n, 0.5)
+        monkeypatch.setattr(sparsify, "_sketch_workers", lambda: 2)
+        crossing = g.edge_list()[::60]
+        tracemalloc.start()
+        try:
+            estimate_resistances(g, crossing, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (g.num_edges + g.n) * k
 
     def test_unconverged_blocks_raise_with_total_count(self, monkeypatch):
         g = barabasi_albert(208, 2, seed=4)
