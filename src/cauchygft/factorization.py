@@ -326,48 +326,43 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
     # projected bridge vectors, keyed by canonical edge; full length for
     # simple range views (support only ever grows within subtree ranges)
     zvecs: dict[tuple[int, int], np.ndarray] = {}
-    edge_leafpair: dict[tuple[int, int], tuple[int, int]] = {}
-    owner: dict[tuple[int, int], int] = {}
+    # carry[nid]: the bridges merge nid transforms, in zvecs order. A bridge
+    # is carried by every merge on the paths from its endpoints' leaves up
+    # to its owner; the owner solves it, the merges below only rotate it.
+    carry: dict[int, list[tuple[int, int]]] = {nd.id: [] for nd in plan.internal_nodes()}
     for nid, edges in plan.interfaces.items():
         for u, v, w in edges:
             key = (min(u, v), max(u, v))
-            owner[key] = nid
             z = _bridge_vector(plan, u, v, w, kind, inv_sqrt_deg, n)
             for node in (u, v):
                 li = int(plan.leaf_of[node])
                 s0, s1 = plan.ranges[plan.leaf_node_id[li]]
                 pos = int(plan.node_to_pos[node])
                 z[s0:s1] = leaf_bases[li][pos - s0, :] * z[pos]
+                up = plan.parent[plan.leaf_node_id[li]]
+                while up != nid:
+                    carry[up].append(key)
+                    up = plan.parent[up]
+            carry[nid].append(key)
             zvecs[key] = z
-            edge_leafpair[key] = (int(plan.leaf_of[u]), int(plan.leaf_of[v]))
 
     history: list[MergeRecord] = []
-
-    def carried(key: tuple[int, int], nid: int) -> bool:
-        """Whether merge nid carries the bridge's vector.
-
-        It does when the bridge touches nid's leaves and nid or an ancestor
-        owns it; the bridges of nid's descendants are solved already.
-        """
-        la, lb = edge_leafpair[key]
-        leafset = plan.leaf_sets[nid]
-        s0, s1 = plan.ranges[nid]
-        o0, o1 = plan.ranges[owner[key]]
-        return (la in leafset or lb in leafset) and o0 <= s0 and s1 <= o1
-
     for nd in plan.internal_nodes():
         nid = nd.id
         s0, s1 = plan.ranges[nid]
         a, b = nd.children
-        pending = [k for k in zvecs if carried(k, nid)]
+        # one (r, pending) block per merge: each step acts on it, each solved
+        # bridge leaves it, the rest go back to zvecs when the merge is done
+        keys = carry.pop(nid)
+        block = np.empty((s1 - s0, 0))
+        if keys:
+            block = np.stack([zvecs[k][s0:s1] for k in keys], axis=1)
         lam = np.concatenate([node_lam[a], node_lam[b]])
         concat_perm: np.ndarray | None = None
         if np.any(np.diff(lam) < 0.0):
             concat_perm = np.argsort(lam, kind="stable")
             lam = lam[concat_perm]
-            for k in pending:
-                view = zvecs[k][s0:s1]
-                view[:] = view[concat_perm]
+            block = block[concat_perm]
         bridges = sorted(
             plan.interfaces.get(nid, ()),
             key=lambda e: (min(e[0], e[1]), max(e[0], e[1])),
@@ -375,7 +370,9 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
         steps: list[MergeStep] = []
         for u, v, w in bridges:
             key = (min(u, v), max(u, v))
+            j = keys.index(key)
             z = zvecs[key]
+            z[s0:s1] = block[:, j]
             outside = np.linalg.norm(z[:s0]) + np.linalg.norm(z[s1:])
             if outside > 1e-10 * max(1.0, np.linalg.norm(z)):
                 raise PlanMismatch(
@@ -389,14 +386,14 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
             else:
                 lam = lam_unsorted
             step = MergeStep(factor=factor, perm=perm)
-            pending = [k for k in pending if k != key]
-            if pending:
+            del keys[j]
+            block = np.delete(block, j, axis=1)
+            if keys:
                 # one batched apply beats per-edge matvecs for wide interfaces
-                stack = np.stack([zvecs[k][s0:s1] for k in pending], axis=1)
-                step.apply_forward(stack)
-                for j, k in enumerate(pending):
-                    zvecs[k][s0:s1] = stack[:, j]
+                step.apply_forward(block)
             steps.append(step)
+        for j, k in enumerate(keys):
+            zvecs[k][s0:s1] = block[:, j]
         node_lam[nid] = lam
         level_lambdas[nid] = lam.copy()
         history.append(

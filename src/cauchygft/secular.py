@@ -42,7 +42,9 @@ _CHUNK_ELEMS = 4_000_000
 # streaming through DRAM on every pass. Each element and each row reduction
 # is computed on its own, so this size moves speed, never bits.
 _BLOCK_ELEMS = 1 << 16
-# largest pole count whose split sums use the 0/1 mask (einsum) path
+# largest pole count whose split sums use the 0/1 mask (einsum) path; its
+# mask rows come from one m x m float64 staircase per solve, 8 m^2 bytes
+# (8 MiB at this limit)
 _MASK_MAX_M = 1024
 # widest merge record (positions) that is served through one dense operator:
 # below it rebuilding every Cauchy block per call costs more than the multiply
@@ -243,28 +245,26 @@ def deflate(
     zd = z.copy()
     blocks: list[HouseholderBlock] = []
     rotated: list[int] = []
-    i = 0
-    while i < m:
-        j = i + 1
-        while j < m and lam[j] - lam[j - 1] <= tol_lambda:
-            j += 1
-        if j - i >= 2:
-            zb = zd[i:j]
-            nrm = float(np.linalg.norm(zb))
-            if nrm > 0.0:
-                sgn = 1.0 if zb[0] >= 0.0 else -1.0
-                u = zb.copy()
-                u[0] += sgn * nrm  # no cancellation: |u_0| >= nrm
-                u /= np.linalg.norm(u)
-                blocks.append(
-                    HouseholderBlock(
-                        start=i, stop=j, reflector=u, first_sign=-sgn
-                    )
+    # a cluster [i, j) is a maximal run of gaps lam[k+1] - lam[k] <= tol_lambda
+    # for k in [i, j - 1); the padded flags rise at i and fall at j - 1
+    close = np.concatenate(([False], lam[1:] - lam[:-1] <= tol_lambda, [False]))
+    edges = np.flatnonzero(close[1:] != close[:-1])
+    for i, j in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+        zb = zd[i:j]
+        nrm = float(np.linalg.norm(zb))
+        if nrm > 0.0:
+            sgn = 1.0 if zb[0] >= 0.0 else -1.0
+            u = zb.copy()
+            u[0] += sgn * nrm  # no cancellation: |u_0| >= nrm
+            u /= np.linalg.norm(u)
+            blocks.append(
+                HouseholderBlock(
+                    start=i, stop=j, reflector=u, first_sign=-sgn
                 )
-                zd[i] = nrm
-                zd[i + 1 : j] = 0.0
-            rotated.extend(range(i + 1, j))
-        i = j
+            )
+            zd[i] = nrm
+            zd[i + 1 : j] = 0.0
+        rotated.extend(range(i + 1, j))
 
     rot = np.asarray(rotated, dtype=np.int64)
     alive = np.ones(m, dtype=bool)
@@ -285,14 +285,16 @@ def deflate(
 # secular roots
 
 
-def _split_sums(d, zeta, origins, tau, p_left):
+def _split_sums(d, zeta, origins, tau, p_left, stair=None):
     """psi/phi value+derivative sums at mu = d[origins] + tau, split at p_left.
 
     psi covers terms i <= p_left, phi the rest; derivatives are wrt mu. The
     split halves only steer the rational model. Up to _MASK_MAX_M poles psi
-    comes from einsum against a 0/1 mask (column i <= p_left of each root's
-    row) and phi is the pairwise row total minus psi; above it both are
-    segment sums of one reduceat over the row block.
+    comes from einsum against a 0/1 mask and phi is the pairwise row total
+    minus psi; above it both are segment sums of one reduceat over the row
+    block. The mask row of split p is row p of `stair` = np.tri(m), built once
+    per solve by the caller: a row block whose splits run p0, p0 + 1, ...
+    reads the view stair[p0 : p0 + r], any other block gathers its rows.
 
     Roots are swept in row blocks of about _BLOCK_ELEMS elements whose few
     temporaries stay cache resident. Every root's row is reduced on its own,
@@ -310,7 +312,6 @@ def _split_sums(d, zeta, origins, tau, p_left):
     t = np.empty((rows, m))
     t2 = np.empty((rows, m))
     if m <= _MASK_MAX_M:
-        cols = np.arange(m)
         mask = np.empty((rows, m))
     else:
         bounds = np.empty(2 * rows, dtype=np.intp)
@@ -324,8 +325,13 @@ def _split_sums(d, zeta, origins, tau, p_left):
         np.divide(zeta[None, :], dl, out=tl)
         np.divide(tl, dl, out=t2l)
         if m <= _MASK_MAX_M:
-            ml = mask[:r]
-            np.less_equal(cols[None, :], p_left[sl, None], out=ml)
+            pl = p_left[sl]
+            if np.all(pl[1:] - pl[:-1] == 1):
+                ml = stair[pl[0] : pl[0] + r]
+            else:
+                # splits are in range; "clip" skips the buffered copy that
+                # the default mode makes of an out= take
+                ml = np.take(stair, pl, axis=0, out=mask[:r], mode="clip")
             left = np.einsum("ij,ij->i", tl, ml)
             left2 = np.einsum("ij,ij->i", t2l, ml)
             psi[sl] = left
@@ -436,7 +442,8 @@ def _solve_roots(d, zeta, max_iter: int = 100):
     p_left[m - 1] = m - 2
     tau[: m - 1] = 0.5 * gaps
     tau[m - 1] = 0.5 * zsum
-    psi, dpsi, phi, dphi = _split_sums(d, zeta, origins, tau, p_left)
+    stair = np.tri(m) if m <= _MASK_MAX_M else None  # stair[k, i] = (i <= k)
+    psi, dpsi, phi, dphi = _split_sums(d, zeta, origins, tau, p_left, stair)
     f = 1.0 + psi + phi
 
     # place each interior origin at the nearer pole; the evaluated midpoint
@@ -486,7 +493,7 @@ def _solve_roots(d, zeta, max_iter: int = 100):
             step = 0.5 * (lo[act] + hi[act])  # spec: bisect after 100 iterations
         tau[act] = step
         psi_a, dpsi_a, phi_a, dphi_a = _split_sums(
-            d, zeta, origins[act], tau[act], p_left[act]
+            d, zeta, origins[act], tau[act], p_left[act], stair
         )
         psi[act], dpsi[act], phi[act], dphi[act] = psi_a, dpsi_a, phi_a, dphi_a
         f_a = 1.0 + psi_a + phi_a
@@ -542,13 +549,15 @@ def solve_secular(
 
 
 def secular_residuals(sol: SecularSolution) -> np.ndarray:
-    """|w(lambda_new_j)| evaluated through the cancellation-free offsets."""
+    """|w(lambda_new_j)| through the offsets, one row sum per root, in row blocks."""
     d = sol.lambda_old
     zeta = sol.rho * sol.z * sol.z
     out = np.empty(d.size)
-    for j in range(d.size):
-        delta = (d - d[sol.origins[j]]) - sol.offsets[j]
-        out[j] = abs(1.0 + np.sum(zeta / delta))
+    step = max(1, _BLOCK_ELEMS // max(d.size, 1))
+    for s in range(0, d.size, step):
+        sl = slice(s, min(s + step, d.size))
+        delta = (d[None, :] - d[sol.origins[sl], None]) - sol.offsets[sl, None]
+        out[sl] = np.abs(1.0 + np.sum(zeta / delta, axis=1))
     return out
 
 
@@ -572,24 +581,32 @@ def _assemble_factor_data(d, origins, tau, rho, z_signs):
     rows_step = max(1, _CHUNK_ELEMS // m)
     blk = max(1, _BLOCK_ELEMS // m)
     inv_mu2 = np.empty((min(rows_step, m), m))
+    ratio = np.empty((min(blk, m), m))
     for s in range(0, m, rows_step):
         sl = slice(s, min(s + rows_step, m))
         for b in range(sl.start, sl.stop, blk):
-            sb = slice(b, min(b + blk, sl.stop))
-            di = d[sb, None]
+            e = min(b + blk, sl.stop)
+            di = d[b:e, None]
             mu_minus = (mu[None, :] - di) + tau[None, :]  # mu_j - d_i
             if m == 1:
                 zh[0] = np.sqrt(np.abs(tau[0] / rho))
             else:
+                # row i pairs column j with d_j - d_i for j < i and with
+                # d_{j+1} - d_i for j >= i; only the band b <= j < e - 1
+                # holds both kinds among rows b..e-1
                 dd = d[None, :] - di                      # d_j - d_i
-                ratio = np.empty_like(mu_minus)
-                jlt = np.arange(m - 1)[None, :] < np.arange(b, sb.stop)[:, None]
-                ratio[:, : m - 1] = mu_minus[:, : m - 1] / np.where(
-                    jlt, dd[:, : m - 1], dd[:, 1:]
-                )
-                ratio[:, m - 1] = mu_minus[:, m - 1] / rho
-                zh[sb] = np.sqrt(np.abs(np.prod(ratio, axis=1)))
-            np.divide(1.0, mu_minus * mu_minus, out=inv_mu2[b - s : sb.stop - s])
+                rl = ratio[: e - b]
+                hi = e - 1
+                np.divide(mu_minus[:, :b], dd[:, :b], out=rl[:, :b])
+                jlt = np.arange(b, hi)[None, :] < np.arange(b, e)[:, None]
+                band = np.where(jlt, dd[:, b:hi], dd[:, b + 1 : hi + 1])
+                np.divide(mu_minus[:, b:hi], band, out=rl[:, b:hi])
+                np.divide(mu_minus[:, hi : m - 1], dd[:, hi + 1 :], out=rl[:, hi : m - 1])
+                np.divide(mu_minus[:, m - 1], rho, out=rl[:, m - 1])
+                zh[b:e] = np.sqrt(np.abs(np.prod(rl, axis=1)))
+            inv = inv_mu2[b - s : e - s]
+            np.multiply(mu_minus, mu_minus, out=inv)
+            np.divide(1.0, inv, out=inv)
         norm2 += (zh[sl] * zh[sl]) @ inv_mu2[: sl.stop - sl.start]
     zhat = z_signs * zh
     # every column's first affected entry is zhat_0/(d_0 - mu_j)

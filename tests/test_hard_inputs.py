@@ -73,3 +73,47 @@ def test_factorize_matches_dense_oracle(data, kind):
     assert np.max(np.abs(np.sort(fact.lambda_final) - want)) <= TOL * scale
     rebuilt = fact.reconstruct_operator(fact.lambda_final)
     assert np.linalg.norm(rebuilt - lap) <= TOL * np.linalg.norm(lap)
+
+
+@st.composite
+def parallel_bridge_graphs(draw) -> tuple[Graph, list[list[int]]]:
+    """Four path leaves with complete bipartite bridges owned at two levels.
+
+    plan_from_leaves merges leaves 0 and 1 first, then the pair with the
+    merge of leaves 2 and 3. Bridges K_{p,q} join leaf 0 to leaf 1 (owned
+    by their merge) and leaf 0 or 1 to leaf 2 or 3 (owned by the root), so
+    the first merge carries its own bridges and the root's side by side.
+    """
+    sizes = [draw(st.integers(2, 5)) for _ in range(4)]
+    order = draw(st.permutations(range(sum(sizes))))
+    bounds = np.cumsum([0, *sizes])
+    leaves = [list(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    same = draw(st.booleans())
+    weight = draw(log_weights)
+
+    def w() -> float:
+        return weight if same else draw(log_weights)
+
+    edges = [(lv[i], lv[i + 1], w()) for lv in leaves for i in range(len(lv) - 1)]
+    outer = (draw(st.integers(0, 1)), draw(st.integers(2, 3)))
+    for la, lb in ((0, 1), outer):
+        p = draw(st.integers(1, 2))
+        q = draw(st.integers(3 - p, 2))  # p * q >= 2 parallel bridges
+        edges += [(u, v, w()) for u in leaves[la][:p] for v in leaves[lb][:q]]
+    return Graph.from_edges(len(order), edges), leaves
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(case=parallel_bridge_graphs(), kind=st.sampled_from(["combinatorial", "normalized"]))
+def test_parallel_bridges_at_two_levels_match_dense_oracle(case, kind):
+    g, leaves = case
+    plan = plan_from_leaves(g, leaves)
+    owners = sorted(len(edges) for edges in plan.interfaces.values())
+    assert len(owners) == 2 and owners[0] >= 2
+    lap = build_laplacian(g, kind).dense()
+    want, _ = dense_eig(lap)
+    fact = factorize(g, plan, kind=kind)
+    scale = max(1.0, float(want[-1]))
+    assert np.max(np.abs(np.sort(fact.lambda_final) - want)) <= TOL * scale
+    rebuilt = fact.reconstruct_operator(fact.lambda_final)
+    assert np.linalg.norm(rebuilt - lap) <= TOL * np.linalg.norm(lap)

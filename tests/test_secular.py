@@ -358,3 +358,185 @@ class TestCacheBlocking:
         psi, dpsi, phi, dphi = secular._split_sums(d, zeta, origins, tau, p_left)
         for got, ref in zip((psi, dpsi, phi, dphi), want):
             assert got.tobytes() == ref.tobytes()
+
+
+def loop_deflate(lam, z, tol_z, tol_lambda):
+    """Deflation with the per-index cluster scan: the reference for deflate."""
+    m = lam.size
+    zd = z.copy()
+    blocks, rotated = [], []
+    i = 0
+    while i < m:
+        j = i + 1
+        while j < m and lam[j] - lam[j - 1] <= tol_lambda:
+            j += 1
+        if j - i >= 2:
+            zb = zd[i:j]
+            nrm = float(np.linalg.norm(zb))
+            if nrm > 0.0:
+                sgn = 1.0 if zb[0] >= 0.0 else -1.0
+                u = zb.copy()
+                u[0] += sgn * nrm
+                u /= np.linalg.norm(u)
+                blocks.append((i, j, u, -sgn))
+                zd[i] = nrm
+                zd[i + 1 : j] = 0.0
+            rotated.extend(range(i + 1, j))
+        i = j
+    rot = np.asarray(rotated, dtype=np.int64)
+    alive = np.ones(m, dtype=bool)
+    alive[rot] = False
+    small = alive & (np.abs(zd) <= tol_z)
+    kept = np.flatnonzero(alive & ~small)
+    return kept, np.flatnonzero(small), rot, blocks, zd[kept]
+
+
+def masked_split_sums(d, zeta, origins, tau, p_left):
+    """Mask-path split sums with every mask row built by a compare."""
+    delta = d[None, :] - d[origins, None]
+    delta -= tau[:, None]
+    t = zeta[None, :] / delta
+    t2 = t / delta
+    mask = np.empty_like(t)
+    np.less_equal(np.arange(d.size)[None, :], p_left[:, None], out=mask)
+    left = np.einsum("ij,ij->i", t, mask)
+    left2 = np.einsum("ij,ij->i", t2, mask)
+    return left, left2, np.sum(t, axis=1) - left, np.sum(t2, axis=1) - left2
+
+
+def masked_assembly(d, origins, tau, rho, z_signs):
+    """Factor assembly with the full j < i mask over each row block."""
+    m = d.size
+    zh = np.empty(m)
+    norm2 = np.zeros(m)
+    mu = d[origins]
+    rows_step = max(1, secular._CHUNK_ELEMS // m)
+    inv_mu2 = np.empty((min(rows_step, m), m))
+    for s in range(0, m, rows_step):
+        sl = slice(s, min(s + rows_step, m))
+        mu_minus = (mu[None, :] - d[sl, None]) + tau[None, :]
+        if m == 1:
+            zh[0] = np.sqrt(np.abs(tau[0] / rho))
+        else:
+            dd = d[None, :] - d[sl, None]
+            ratio = np.empty_like(mu_minus)
+            jlt = np.arange(m - 1)[None, :] < np.arange(sl.start, sl.stop)[:, None]
+            ratio[:, : m - 1] = mu_minus[:, : m - 1] / np.where(
+                jlt, dd[:, : m - 1], dd[:, 1:]
+            )
+            ratio[:, m - 1] = mu_minus[:, m - 1] / rho
+            zh[sl] = np.sqrt(np.abs(np.prod(ratio, axis=1)))
+        inv_mu2[: sl.stop - sl.start] = 1.0 / (mu_minus * mu_minus)
+        norm2 += (zh[sl] * zh[sl]) @ inv_mu2[: sl.stop - sl.start]
+    zhat = z_signs * zh
+    row0_mu = (mu - d[0]) + tau
+    signs = np.where(zhat[0] * row0_mu <= 0.0, 1.0, -1.0)
+    return zhat, np.sqrt(norm2), signs
+
+
+def split_instance(rng, m, p_left):
+    """Poles, weights and one in-bracket iterate per split, as a sweep sees them."""
+    d = np.sort(rng.uniform(0.0, 4.0, m))
+    zeta = rng.uniform(0.1, 1.0, m) ** 2
+    p_left = np.asarray(p_left, dtype=np.int64)
+    origins = p_left + rng.integers(0, 2, p_left.size)
+    gaps = d[p_left + 1] - d[p_left]
+    tau = np.where(origins == p_left, 0.5, -0.5) * gaps * rng.uniform(0.1, 0.9, p_left.size)
+    return d, zeta, origins, tau, p_left
+
+
+class TestReferenceLoops:
+    """Vectorized kernels against the loops they replaced, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "lam, z, rotated",
+        [
+            ([1.0, 1.0, 2.0, 3.0, 4.0, 4.0], [0.5, -0.5, 1.0, 0.3, 0.2, 0.7], [1, 5]),
+            ([0.0, 1.0, 1.0, 1.0, 2.0, 2.0, 5.0], [1.0, -0.2, 0.4, 0.8, 0.0, 0.0, 0.1],
+             [2, 3, 5]),
+            # each gap is under tol_lambda, the chain's span is not
+            ([1.0, 1.0 + 2e-15, 1.0 + 4e-15, 1.0 + 6e-15, 3.0], [0.3, 0.4, -0.5, 0.2, 1.0],
+             [1, 2, 3]),
+            ([2.0, 2.0, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0], [1, 2, 3]),  # all deflates
+            ([], [], []),
+            ([3.0], [0.25], []),
+        ],
+    )
+    def test_deflate_matches_index_loop(self, lam, z, rotated):
+        lam, z = np.asarray(lam, dtype=np.float64), np.asarray(z, dtype=np.float64)
+        tol_z, tol_lambda = secular.default_tolerances(lam, z, 1.0)
+        rec = deflate(lam, z)
+        assert rec.rotated.tolist() == rotated
+        kept, dropped, rot, blocks, zd = loop_deflate(lam, z, tol_z, tol_lambda)
+        for got, want in ((rec.kept, kept), (rec.dropped_zero, dropped),
+                          (rec.rotated, rot), (rec.z_deflated, zd)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert len(rec.householder_blocks) == len(blocks)
+        for blk, (i, j, u, sign) in zip(rec.householder_blocks, blocks):
+            assert (blk.start, blk.stop, blk.first_sign) == (i, j, sign)
+            assert blk.reflector.tobytes() == u.tobytes()
+
+    def test_deflate_matches_index_loop_on_random_spectra(self):
+        rng = np.random.default_rng(17)
+        for kind in RNG_SPECTRA:
+            for n in (2, 9, 60):
+                lam, z, rho = random_instance(rng, n, kind)
+                tol_z, tol_lambda = secular.default_tolerances(lam, z, rho)
+                rec = deflate(lam, z, rho=rho)
+                kept, dropped, rot, blocks, zd = loop_deflate(lam, z, tol_z, tol_lambda)
+                assert rec.kept.tobytes() == kept.tobytes()
+                assert rec.rotated.tobytes() == rot.tobytes()
+                assert rec.z_deflated.tobytes() == zd.tobytes()
+                assert len(rec.householder_blocks) == len(blocks)
+
+    @pytest.mark.parametrize(
+        "m, p_left, block_rows",
+        [
+            (7, [0, 1, 2, 3, 4, 5, 5], None),   # a first sweep: the last split repeats
+            (7, [2, 3, 4], None),               # consecutive: a staircase view
+            (7, [3, 3, 5], None),               # gapped, ending in the duplicate m - 2
+            (7, [3, 5, 5], None),               # span r - 1 yet not consecutive
+            (7, [4], None),                     # a single row
+            (40, list(range(38)) + [38], 5),    # consecutive blocks, then a gather
+            (600, [0, 2, 3, 4, 9, 598, 598], 2),
+        ],
+    )
+    def test_split_sums_staircase_matches_compare_masks(
+        self, monkeypatch, m, p_left, block_rows
+    ):
+        if block_rows is not None:
+            monkeypatch.setattr(secular, "_BLOCK_ELEMS", block_rows * m)
+        rng = np.random.default_rng(m + len(p_left))
+        d, zeta, origins, tau, p = split_instance(rng, m, p_left)
+        got = secular._split_sums(d, zeta, origins, tau, p, np.tri(m))
+        want = masked_split_sums(d, zeta, origins, tau, p)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 600])
+    def test_assembly_matches_masked_version(self, monkeypatch, m):
+        rng = np.random.default_rng(m)
+        lam = np.sort(rng.uniform(0.0, 4.0, m)) + np.arange(m) * 1e-3
+        z = rng.standard_normal(m)
+        sol = solve_secular(lam, z, 0.7)
+        args = (sol.lambda_old, sol.origins, sol.offsets, sol.rho, np.sign(sol.z))
+        want = masked_assembly(*args)
+        # one row per block, 7 rows (a ragged last block), every row at once
+        for elems in (1, 7 * m, m * m):
+            monkeypatch.setattr(secular, "_BLOCK_ELEMS", elems)
+            got = secular._assemble_factor_data(*args)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("m", [1, 5, 600, 1500])
+    def test_residuals_match_per_root_loop(self, m):
+        rng = np.random.default_rng(m)
+        lam, z, rho = random_instance(rng, m, "plain")
+        z[z == 0.0] = 1.0
+        sol = solve_secular(lam, z, rho)
+        zeta = sol.rho * sol.z * sol.z
+        want = np.empty(m)
+        for j in range(m):
+            delta = (sol.lambda_old - sol.lambda_old[sol.origins[j]]) - sol.offsets[j]
+            want[j] = abs(1.0 + np.sum(zeta / delta))
+        assert secular_residuals(sol).tobytes() == want.tobytes()

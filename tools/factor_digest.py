@@ -1,0 +1,97 @@
+"""Print sha256 digests of every factor array for benchmark plans.
+
+Builds each graph and plan exactly as an untraced benchmark run does
+(`perfbench/workload.py`: its workloads, graph seeds and plan recipes,
+imported read-only), factorizes it, and prints one JSON line per plan with
+the sha256 of `lambda_final`, of the leaf bases, of `level_lambdas` and of
+every step's arrays (affected, origins, offsets, lambda_old, zhat, column
+norms and signs, perm, dropped and rotated indices, reflectors). Two
+checkouts whose lines match produced the same factors bit for bit.
+
+    PYTHONPATH=src python3 tools/factor_digest.py --workload quickstart-500 --seed 0 1
+    PYTHONPATH=src python3 tools/factor_digest.py --workload all --seed 0
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workload import WORKLOADS, graph_seeds, make_plan  # noqa: E402
+
+from cauchygft import barabasi_albert, factorize  # noqa: E402
+
+
+def _feed(h, arr) -> None:
+    """Hash an array with its dtype and shape, so a reshape or cast shows."""
+    if arr is None:
+        h.update(b"None;")
+        return
+    a = np.ascontiguousarray(arr)
+    h.update(f"{a.dtype.str}{a.shape};".encode())
+    h.update(a.tobytes())
+
+
+def _step_arrays(step):
+    f = step.factor
+    sol, dfl = f.solution, f.deflation
+    yield from (f.affected, sol.origins, sol.offsets, sol.lambda_old, f.zhat)
+    yield from (f.column_norms, f.column_signs, step.perm)
+    yield from (dfl.dropped_zero, dfl.rotated)
+    for blk in dfl.householder_blocks:
+        yield np.array([blk.start, blk.stop])
+        yield blk.reflector
+        yield np.array([blk.first_sign])
+
+
+def digests(fact) -> dict[str, str]:
+    """sha256 per part of one factorized transform, plus one over all."""
+    parts = {name: hashlib.sha256() for name in ("lambda_final", "leaf_bases",
+                                                  "level_lambdas", "steps")}
+    _feed(parts["lambda_final"], fact.lambda_final)
+    for basis in fact.leaf_bases:
+        _feed(parts["leaf_bases"], basis)
+    for nid in sorted(fact.level_lambdas):
+        parts["level_lambdas"].update(f"{nid};".encode())
+        _feed(parts["level_lambdas"], fact.level_lambdas[nid])
+    for rec in fact.history:
+        h = parts["steps"]
+        h.update(f"{rec.node_id},{rec.start},{rec.stop},{len(rec.steps)};".encode())
+        _feed(h, rec.concat_perm)
+        for step in rec.steps:
+            for arr in _step_arrays(step):
+                _feed(h, arr)
+    out = {name: h.hexdigest() for name, h in parts.items()}
+    out["all"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", required=True, choices=[*WORKLOADS, "all"])
+    ap.add_argument("--seed", type=int, nargs="+", required=True)
+    args = ap.parse_args(argv)
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        w = WORKLOADS[name]
+        for seed in args.seed:
+            for s in graph_seeds(seed, w.graphs):
+                res = make_plan(barabasi_albert(w.n, 2, s), w.recipe, s)
+                fact = factorize(res.graph, res.plan)
+                line = {"workload": name, "seed": seed, "graph_seed": s,
+                        "steps": sum(len(r.steps) for r in fact.history),
+                        **digests(fact)}
+                print(json.dumps(line), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
