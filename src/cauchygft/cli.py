@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .errors import CauchyGftError
+from .errors import CauchyGftError, ConfigMismatch
 from .factorization import DENSE_LIMIT, FactorizedGft, factorize
 from .filters import (
     FilterBank,
@@ -210,28 +210,48 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _filter_from_config(data):
-    kind = data.get("kind")
-    if kind == "poly":
-        return poly_filter(data["coefficients"])
-    if kind == "heat":
-        return heat_filter(data.get("t", 1.0))
-    if kind == "unit":
-        return FilterLayerConfig().global_filter
-    bank = FilterBank.from_dict(data)
-    return BankFilter(bank, index=data.get("filter_index", 0))
+def _filter_from_config(data, where: str = "filter config"):
+    """One filter from its JSON config; ConfigMismatch names a bad field."""
+    if not isinstance(data, dict):
+        raise ConfigMismatch(f"{where} must be a JSON object, not {type(data).__name__}")
+    try:
+        kind = data["kind"]
+        if kind == "poly":
+            return poly_filter(data["coefficients"])
+        if kind == "heat":
+            return heat_filter(float(data.get("t", 1.0)))
+        if kind == "unit":
+            return FilterLayerConfig().global_filter
+        if kind not in ("spline", "rbf"):
+            raise ConfigMismatch(
+                f"{where} field 'kind' is {kind!r}, not poly, heat, unit, spline or rbf"
+            )
+        bank = FilterBank.from_dict(data)
+        return BankFilter(bank, index=data.get("filter_index", 0))
+    except KeyError as exc:
+        raise ConfigMismatch(f"{where} has no field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ConfigMismatch(f"malformed {where} ({type(exc).__name__}: {exc})") from exc
 
 
 def cmd_filter(args) -> int:
     fact = FactorizedGft.load(args.factorization)
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg_data = json.load(fh)
-    if "global" in cfg_data or "nodes" in cfg_data:
+    if isinstance(cfg_data, dict) and ("global" in cfg_data or "nodes" in cfg_data):
+        nodes = cfg_data.get("nodes", {})
+        if not isinstance(nodes, dict):
+            raise ConfigMismatch(
+                f"filter config field 'nodes' must map node ids to filters, "
+                f"not be a {type(nodes).__name__}"
+            )
         cfg = FilterLayerConfig(
-            global_filter=_filter_from_config(cfg_data.get("global", {"kind": "unit"})),
+            global_filter=_filter_from_config(
+                cfg_data.get("global", {"kind": "unit"}), "global filter config"
+            ),
             node_filters={
-                int(nid): _filter_from_config(spec)
-                for nid, spec in cfg_data.get("nodes", {}).items()
+                int(nid): _filter_from_config(spec, f"filter config of node {nid}")
+                for nid, spec in nodes.items()
             },
         )
     else:

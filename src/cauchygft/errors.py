@@ -62,7 +62,7 @@ class TooLarge(CauchyGftError):
 
 
 class ConfigMismatch(CauchyGftError):
-    """A filter-layer configuration does not match the factorization's tree."""
+    """A filter-layer configuration is malformed or does not fit the factorization's tree."""
 
 
 class DomainError(CauchyGftError, ValueError):

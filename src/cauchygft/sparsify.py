@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .errors import (
     DimensionMismatch,
@@ -31,11 +32,11 @@ from .graph import Graph, Laplacian, build_laplacian
 JL_MIN_DIM = 20
 # widest column block of one resistance-sketch PCG solve. Every CG column
 # evolves on its own (per-column step sizes, axis-0 reductions), so the
-# width moves speed and memory, never bits. It also sets each worker's
-# memory, (E + 6n) doubles per column; 64 columns keep that small and give
-# every CPU blocks to solve. Blocks are split evenly below this width: a
-# 1-column block would reduce as a contiguous vector (pairwise sums) and
-# change the rounding.
+# width moves speed and memory, never bits. It also sets the buffers each
+# worker is given, (E + 6n) doubles per column at most; 64 columns keep them
+# small and give every CPU blocks to solve. Blocks are split evenly below
+# this width: a 1-column block would reduce as a contiguous vector (pairwise
+# sums) and change the rounding.
 _SKETCH_COLS = 64
 # elements per chunk of the random-sign draw and of the resistance read-out.
 # Chunks of whole rows take the generator's stream in the order one full
@@ -86,12 +87,45 @@ class SpectralBoundReport:
     passed: bool
 
 
+def _csr_matmul_into(a: sp.csr_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = a @ x for a dense block, written into out and allocating nothing.
+
+    `a @ x` zero-fills a fresh array and runs SciPy's csr_matvecs kernel on
+    it; this runs the same kernel on out after zero-filling it, so the bits
+    are those of `a @ x`. x and out must be C-contiguous float64 blocks.
+    """
+    m, n = a.shape
+    c = out.shape[-1]
+    if not (
+        a.format == "csr"
+        and a.dtype == x.dtype == out.dtype == np.float64
+        and x.shape == (n, c)
+        and out.shape == (m, c)
+        and x.flags.c_contiguous
+        and out.flags.c_contiguous
+    ):
+        raise ValueError("csr product needs C-contiguous float64 (n, c) and (m, c) blocks")
+    out.fill(0.0)
+    _sparsetools.csr_matvecs(m, n, c, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    return out
+
+
+def _jacobi_inverse(lap: sp.csr_matrix) -> np.ndarray:
+    """1 / diag(lap) as an (n, 1) column: the block PCG's preconditioner."""
+    diag = lap.diagonal()
+    if np.any(diag <= 0.0):
+        raise SolverNotConverged("nonpositive diagonal; graph must have edges")
+    return 1.0 / diag[:, None]
+
+
 def _jacobi_block_pcg(
     lap: sp.csr_matrix,
     rhs: np.ndarray,
     tol: float,
     maxiter: int,
     work: list[np.ndarray] | None = None,
+    rows: np.ndarray | None = None,
+    minv: np.ndarray | None = None,
 ):
     """PCG with diagonal preconditioning on all RHS columns at once.
 
@@ -101,35 +135,40 @@ def _jacobi_block_pcg(
     Returns the solution and the number of columns still above tol after
     maxiter iterations (0 when every column converged).
 
-    The iterates x, r, z, p live in four flat float64 buffers (`work`, made
-    here when None), each viewed as a contiguous (n, c) array. A caller that
-    solves many blocks passes the same buffers, sized for its widest block,
-    to every call; the returned solution is then a view of work[0]. Every
-    update writes with out=; only the sparse product allocates per
-    iteration. Each element sees the ufuncs of the update written with fresh
-    arrays (IEEE products and sums commute), and every column norm is
+    The solution x is iterated only at `rows` (sorted node indices; all
+    nodes when None), since no other iterate reads it. The iterates x, r, z,
+    p and the sparse product q live in five flat float64 buffers (`work`,
+    made here when None), each viewed as a contiguous array: x as
+    (len(rows), c), the others as (n, c). A caller that solves many blocks
+    passes the same buffers, sized for its widest block, and the Jacobi
+    column `minv` (`_jacobi_inverse(lap)`, made here when None) to every
+    call; the returned solution is then a view of work[0], and no array
+    with n rows is allocated here. Each element sees the ufuncs of the
+    update written with fresh arrays (IEEE products and sums commute), the
+    product is `lap @ p`'s kernel, and every column norm is
     np.linalg.norm's axis-0 sum of squares, so the result is bit for bit
-    that of the fresh-array loop.
+    that of the fresh-array loop, at the requested rows.
     """
     n, c = rhs.shape
+    m = n if rows is None else rows.size
     if work is None:
-        work = [np.empty(n * c) for _ in range(4)]
-    x, r, z, p = (buf[: n * c].reshape(n, c) for buf in work)
-    diag = lap.diagonal()
-    if np.any(diag <= 0.0):
-        raise SolverNotConverged("nonpositive diagonal; graph must have edges")
-    minv = 1.0 / diag[:, None]
+        work = [np.empty(m * c)] + [np.empty(n * c) for _ in range(4)]
+    x = work[0][: m * c].reshape(m, c)
+    r, z, p, q = (buf[: n * c].reshape(n, c) for buf in work[1:])
+    # z is dead from the top of an iteration until it is recomputed from r,
+    # so it is the scratch of the residual norms and of alpha * p[rows]
+    step = work[2][: m * c].reshape(m, c)
+    if minv is None:
+        minv = _jacobi_inverse(lap)
     x.fill(0.0)
     np.copyto(r, rhs)
     np.multiply(minv, r, out=z)
     z -= z.mean(axis=0, keepdims=True)
     np.copyto(p, z)
     rz = np.einsum("ij,ij->j", r, z)
-    bnorm = np.linalg.norm(rhs, axis=0)
+    bnorm = np.sqrt(np.add.reduce(np.multiply(rhs, rhs, out=q), axis=0))
     bnorm[bnorm == 0.0] = 1.0
 
-    # z is dead from the top of an iteration until it is recomputed from r,
-    # so it is the scratch of the residual norms and of alpha * p
     def residual_norms() -> np.ndarray:
         return np.sqrt(np.add.reduce(np.multiply(r, r, out=z), axis=0))
 
@@ -137,10 +176,12 @@ def _jacobi_block_pcg(
         active = residual_norms() > tol * bnorm
         if not np.any(active):
             return x, 0
-        q = lap @ p
+        _csr_matmul_into(lap, p, q)
         pq = np.einsum("ij,ij->j", p, q)
         alpha = np.where(active & (pq > 0.0), rz / np.where(pq == 0.0, 1.0, pq), 0.0)
-        x += np.multiply(alpha, p, out=z)
+        # mode="clip" gathers straight into step; the default mode buffers
+        p_rows = p if rows is None else np.take(p, rows, axis=0, out=step, mode="clip")
+        x += np.multiply(alpha, p_rows, out=step)
         r -= np.multiply(alpha, q, out=q)
         np.multiply(minv, r, out=z)
         z -= z.mean(axis=0, keepdims=True)
@@ -150,6 +191,28 @@ def _jacobi_block_pcg(
         p += z
         rz = rz_new
     return x, int(np.sum(residual_norms() / bnorm > tol))
+
+
+def _weighted_incidence_t(g: Graph) -> sp.csr_matrix:
+    """B_w^T as an n x E CSR matrix, so the sketch's right-hand side is B_w^T S.
+
+    Rows of B_w have +sqrt(w) at u and -sqrt(w) at v. Row i of B_w^T lists
+    +sqrt(w) for the edges with u = i, then -sqrt(w) for those with v = i,
+    each in edge order: its product then sums every entry of B_w^T S in the
+    order of np.add.at over u and then v, bit for bit.
+    """
+    heads = np.concatenate([g.uu, g.vv])
+    order = np.argsort(heads, kind="stable")
+    root_w = np.sqrt(g.ww)
+    edge = np.arange(g.num_edges)
+    return sp.csr_matrix(
+        (
+            np.concatenate([root_w, -root_w])[order],
+            np.concatenate([edge, edge])[order],
+            np.searchsorted(heads[order], np.arange(g.n + 1)),
+        ),
+        shape=(g.n, g.num_edges),
+    )
 
 
 def jl_dimension(n: int, eps_jl: float) -> int:
@@ -181,9 +244,12 @@ def estimate_resistances(
 
     Memory: the signs are kept as bytes (E * k), the solution only at the
     requested edges' endpoints (endpoints x k doubles), and each worker
-    solves its column blocks in (E + 6n) * _SKETCH_COLS doubles at most: its
-    block's signs as doubles, the right-hand side, the four PCG iterates and
-    the sparse product.
+    solves its column blocks in (E + 6n) * _SKETCH_COLS doubles at most,
+    allocated once per sketch by the calling thread: its block's signs as
+    doubles (E), the right-hand side (n), the solution at the endpoints (at
+    most n) and the PCG's r, z, p and sparse product (4n). Per iteration a
+    worker allocates only per-column scalars and NumPy's fixed-size ufunc
+    buffers.
     """
     if not g.is_connected():
         raise Disconnected("resistance estimation requires a connected graph")
@@ -208,23 +274,9 @@ def estimate_resistances(
             block[s : s + rows] = chunk[:, cols]
     # +-1 * (1/sqrt(k)) is +-(1/sqrt(k)), the bits of +-1 / sqrt(k)
     scale = 1.0 / math.sqrt(k)
-    # rows of B_w have +sqrt(w) at u and -sqrt(w) at v; Y^T = B_w^T S. Row i
-    # of B_w^T lists +sqrt(w) for the edges with u = i, then -sqrt(w) for
-    # those with v = i, each in edge order: its product then sums every entry
-    # of Y^T in the order of np.add.at over u and then v, bit for bit.
-    heads = np.concatenate([g.uu, g.vv])
-    order = np.argsort(heads, kind="stable")
-    root_w = np.sqrt(g.ww)
-    edge = np.arange(g.num_edges)
-    bt = sp.csr_matrix(
-        (
-            np.concatenate([root_w, -root_w])[order],
-            np.concatenate([edge, edge])[order],
-            np.searchsorted(heads[order], np.arange(g.n + 1)),
-        ),
-        shape=(g.n, g.num_edges),
-    )
+    bt = _weighted_incidence_t(g)
     lap = build_laplacian(g).matrix
+    minv = _jacobi_inverse(lap)
     ends = np.array(req, dtype=np.int64).reshape(-1, 2)
     nodes, where = np.unique(ends, return_inverse=True)
     where = where.reshape(ends.shape)
@@ -232,21 +284,29 @@ def estimate_resistances(
 
     # worker i solves blocks i, i + workers, ... in buffers allocated here,
     # on the calling thread: freed, their memory returns to the heap that
-    # this thread's later work reuses, not to a worker thread's arena
+    # this thread's later work reuses, not to a worker thread's arena, and
+    # a worker allocates no array with n or E rows
     workers = min(_sketch_workers(), nb)
     buffers = [
-        (np.empty(g.num_edges * width), [np.empty(g.n * width) for _ in range(4)])
+        (
+            np.empty(g.num_edges * width),
+            np.empty(g.n * width),
+            [np.empty(nodes.size * width)] + [np.empty(g.n * width) for _ in range(4)],
+        )
         for _ in range(workers)
     ]
 
     def solve(i: int) -> int:
-        expand, work = buffers[i]
+        expand, rhs, work = buffers[i]
         unconverged = 0
         for b in range(i, nb, workers):
             y = expand[: signs[b].size].reshape(signs[b].shape)
             np.multiply(signs[b], scale, out=y)
-            x, left = _jacobi_block_pcg(lap, bt @ y, tol=tol, maxiter=maxiter, work=work)
-            kept[:, blocks[b]] = x[nodes]
+            yt = _csr_matmul_into(bt, y, rhs[: g.n * y.shape[1]].reshape(g.n, -1))
+            x, left = _jacobi_block_pcg(
+                lap, yt, tol=tol, maxiter=maxiter, work=work, rows=nodes, minv=minv
+            )
+            kept[:, blocks[b]] = x
             unconverged += left
         return unconverged
 

@@ -262,6 +262,41 @@ class TestFilterCmd:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({}, "filter config has no field 'kind'"),
+            ({"K": 4}, "filter config has no field 'kind'"),
+            ({"kind": "spline"}, "filter config has no field 'coefficients'"),
+            ({"kind": "poly"}, "filter config has no field 'coefficients'"),
+            ([{"kind": "unit"}], "filter config must be a JSON object, not list"),
+            ({"kind": "cubic"}, "field 'kind' is 'cubic'"),
+            ({"kind": "poly", "coefficients": 3}, "malformed filter config (TypeError"),
+            ({"kind": "heat", "t": [1.0]}, "malformed filter config (TypeError"),
+            ({"kind": "spline", "K": "4", "coefficients": [[1.0]]},
+             "malformed filter config (TypeError"),
+            ({"global": {"kind": "poly"}}, "global filter config has no field 'coefficients'"),
+            ({"global": []}, "global filter config must be a JSON object"),
+            ({"nodes": {"0": {}}}, "filter config of node 0 has no field 'kind'"),
+            ({"nodes": [{"kind": "unit"}]}, "field 'nodes' must map node ids"),
+        ],
+    )
+    def test_malformed_filter_config_exit_two(self, tmp_path, p3_file, capsys, config,
+                                              message):
+        fact = self._factorize(tmp_path, p3_file)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        sig = tmp_path / "x.csv"
+        np.savetxt(sig, np.zeros((3, 1)), delimiter=",")
+        capsys.readouterr()
+        code = main(
+            ["filter", "--factorization", fact, "--config", str(cfg),
+             "--signal", str(sig), "--out", str(tmp_path / "y.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
 
 class TestSparsifyCmd:
     def test_report_and_bound(self, tmp_path, capsys):

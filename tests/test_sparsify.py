@@ -173,37 +173,90 @@ class TestSketchBlocks:
         rn = np.linalg.norm(r, axis=0) / bnorm
         return x, int(np.sum(rn > tol))
 
+    @staticmethod
+    def endpoint_rows(g):
+        """Sorted endpoints of every fifth edge, as the sketch reads them."""
+        return np.unique(np.concatenate([g.uu[::5], g.vv[::5]]))
+
     @pytest.mark.parametrize("maxiter", [1000, 4])
     def test_block_pcg_bit_identical_to_textbook_loop(self, maxiter):
         # column blocks of one right-hand side matrix, as the sketch solves
-        # them: a 61-column block and a 2-column block, both strided views
+        # them: a 61-column block and a 2-column block, both strided views.
+        # Iterated only at endpoint rows, the solution is the bytes of the
+        # full solution's rows.
         g = barabasi_albert(300, 2, seed=6)
         lap = build_laplacian(g).matrix
         signs = np.random.default_rng(6).choice([-1.0, 1.0], size=(g.num_edges, 63))
         rhs = np.zeros((g.n, 63))
         np.add.at(rhs, g.uu, np.sqrt(g.ww)[:, None] * signs)
         np.add.at(rhs, g.vv, -np.sqrt(g.ww)[:, None] * signs)
+        rows = self.endpoint_rows(g)
+        assert 0 < rows.size < g.n
         for cols in (slice(0, 61), slice(61, 63)):
-            x, unconverged = _jacobi_block_pcg(lap, rhs[:, cols], 1e-8, maxiter)
             want, want_unconverged = self.textbook_pcg(lap, rhs[:, cols], 1e-8, maxiter)
-            assert x.tobytes() == want.tobytes()
-            assert unconverged == want_unconverged
-            assert (unconverged == 0) == (maxiter == 1000)
+            for at, expect in ((None, want), (rows, want[rows])):
+                x, unconverged = _jacobi_block_pcg(lap, rhs[:, cols], 1e-8, maxiter, rows=at)
+                assert x.tobytes() == expect.tobytes()
+                assert unconverged == want_unconverged
+                assert (unconverged == 0) == (maxiter == 1000)
 
     def test_block_pcg_reuses_caller_buffers_bit_for_bit(self):
-        # one set of work buffers, sized for the widest block, serves a wide
-        # block and then a narrow one left holding the wide block's values
+        # one set of work buffers (x, r, z, p and the sparse product), sized
+        # for the widest block, serves a wide block and then a narrow one
+        # left holding the wide block's values
         g = barabasi_albert(300, 2, seed=6)
         lap = build_laplacian(g).matrix
         rhs = np.random.default_rng(8).standard_normal((g.n, 63))
         rhs -= rhs.mean(axis=0)
-        work = [np.empty(g.n * 61) for _ in range(4)]
+        work = [np.empty(g.n * 61) for _ in range(5)]
         for cols in (slice(0, 61), slice(61, 63)):
             x, unconverged = _jacobi_block_pcg(lap, rhs[:, cols], 1e-8, 1000, work)
             want, _ = self.textbook_pcg(lap, rhs[:, cols], 1e-8, 1000)
             assert unconverged == 0
             assert np.shares_memory(x, work[0]) and x.flags.c_contiguous
             assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("endpoints", [False, True])
+    def test_block_pcg_with_caller_buffers_allocates_no_block(self, endpoints):
+        # given its buffers, a solve allocates per-column scalars and the
+        # Jacobi column, never an (n, c) array such as a fresh lap @ p
+        g = barabasi_albert(300, 2, seed=6)
+        lap = build_laplacian(g).matrix
+        rhs = np.random.default_rng(8).standard_normal((g.n, 61))
+        rhs -= rhs.mean(axis=0)
+        rows = self.endpoint_rows(g) if endpoints else None
+        work = [np.empty(g.n * 61) for _ in range(5)]
+        tracemalloc.start()
+        try:
+            _, unconverged = _jacobi_block_pcg(lap, rhs, 1e-8, 1000, work, rows=rows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert unconverged == 0
+        assert peak < rhs.nbytes
+
+    @pytest.mark.parametrize("cols", [61, 2, 1])
+    def test_csr_product_into_buffer_matches_matmul(self, cols):
+        # the caller-buffer product runs SciPy's private csr kernel; a SciPy
+        # whose kernel or dispatch changed would fail here, not move bits
+        g = barabasi_albert(300, 2, seed=6)
+        lap = build_laplacian(g).matrix
+        bt = sparsify._weighted_incidence_t(g)
+        rng = np.random.default_rng(cols)
+        for a in (lap, bt):
+            x = rng.standard_normal((a.shape[1], cols))
+            out = np.full((a.shape[0], cols), np.nan)
+            got = sparsify._csr_matmul_into(a, x, out)
+            assert got is out
+            assert out.tobytes() == (a @ x).tobytes()
+
+    def test_csr_product_into_buffer_refuses_strided_blocks(self):
+        lap = build_laplacian(barabasi_albert(40, 2, seed=6)).matrix
+        x = np.ones((40, 4))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sparsify._csr_matmul_into(lap, x[:, :2], np.empty((40, 2)))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            sparsify._csr_matmul_into(lap, x[:, :2].copy(), np.empty((40, 4))[:, :2])
 
     def test_sketch_memory_below_sign_and_solution_matrices(self, monkeypatch):
         # the sketch keeps signs as bytes, only endpoint rows of the solution

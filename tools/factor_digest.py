@@ -5,8 +5,11 @@ Builds each graph and plan exactly as an untraced benchmark run does
 imported read-only), factorizes it, and prints one JSON line per plan with
 the sha256 of `lambda_final`, of the leaf bases, of `level_lambdas` and of
 every step's arrays (affected, origins, offsets, lambda_old, zhat, column
-norms and signs, perm, dropped and rotated indices, reflectors). Two
-checkouts whose lines match produced the same factors bit for bit.
+norms and signs, perm, dropped and rotated indices, reflectors). Each line
+also carries the plan's `content_hash()`, which covers the sampled bridge
+weights, so a change in the resistance sketch shows where its output lands.
+Two checkouts whose lines match produced the same plans and factors bit for
+bit.
 
     PYTHONPATH=src python3 tools/factor_digest.py --workload quickstart-500 --seed 0 1
     PYTHONPATH=src python3 tools/factor_digest.py --workload all --seed 0
@@ -87,7 +90,8 @@ def main(argv: list[str] | None = None) -> int:
                 res = make_plan(barabasi_albert(w.n, 2, s), w.recipe, s)
                 fact = factorize(res.graph, res.plan)
                 line = {"workload": name, "seed": seed, "graph_seed": s,
-                        "steps": sum(len(r.steps) for r in fact.history),
+                        "plan_hash": res.plan.content_hash(),
+                        "step_count": sum(len(r.steps) for r in fact.history),
                         **digests(fact)}
                 print(json.dumps(line), flush=True)
     return 0
