@@ -109,8 +109,8 @@ def cmd_factorize(args) -> int:
         plan.save(args.plan_out)
         print(f"wrote plan to {args.plan_out}")
     if args.verify:
-        if g_used.n > args.dense_limit:
-            print(f"skipping verification: n={g_used.n} > {args.dense_limit}")
+        if g_used.n > DENSE_LIMIT:
+            print(f"skipping verification: n={g_used.n} > {DENSE_LIMIT}")
             return 0
         w, _ = dense_eig(build_laplacian(g_used, args.kind))
         lam_err = float(np.max(np.abs(np.sort(fact.lambda_final) - w)))
@@ -278,8 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="combinatorial")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--verify", action="store_true",
-                   help="compare against the dense eigensolver (small n)")
-    p.add_argument("--dense-limit", type=int, default=DENSE_LIMIT)
+                   help=f"compare against the dense eigensolver (n <= {DENSE_LIMIT})")
     p.add_argument("--out", help="write the factorization JSON to exactly this path")
     p.add_argument("--plan-out", help="write the plan JSON here")
     p.add_argument("--print-spectrum", action="store_true")

@@ -29,6 +29,13 @@ GFT_VERSION = 2
 DENSE_LIMIT = 2048
 
 
+def _unpermute(view: np.ndarray, perm: np.ndarray) -> None:
+    """Undo `view[:] = view[perm]` in place."""
+    tmp = np.empty_like(view)
+    tmp[perm] = view
+    view[:] = tmp
+
+
 @dataclass(eq=False)
 class MergeStep:
     """One bridge edge's factor plus the slot sort that follows it."""
@@ -43,9 +50,7 @@ class MergeStep:
 
     def apply_inverse(self, view: np.ndarray) -> None:
         if self.perm is not None:
-            tmp = np.empty_like(view)
-            tmp[self.perm] = view
-            view[:] = tmp
+            _unpermute(view, self.perm)
         self.factor.apply_inplace(view, transpose=True)
 
 
@@ -110,9 +115,7 @@ class MergeRecord:
         for step in reversed(self.steps):
             step.apply_inverse(view)
         if self.concat_perm is not None:
-            tmp = np.empty_like(view)
-            tmp[self.concat_perm] = view
-            view[:] = tmp
+            _unpermute(view, self.concat_perm)
 
 
 @dataclass(eq=False)
@@ -149,11 +152,25 @@ class FactorizedGft:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """U^T x: permute, per-leaf transforms, then the factor history."""
         arr, vec = self._check_rows(x)
-        y = arr[self.plan.pos_to_node].copy()
-        self._leaf_forward(y)
-        for rec in self.history:
-            rec.apply_forward(y[rec.start : rec.stop])
+        y = self._walk_forward(arr, {})
         return y[:, 0] if vec else y
+
+    def _walk_forward(self, arr: np.ndarray, scales: dict[int, np.ndarray]) -> np.ndarray:
+        """U^T arr for (n, c) rows; tree node nid's spectrum is multiplied by
+        scales[nid] (one entry per position) right after its transform."""
+        y = arr[self.plan.pos_to_node].copy()
+        for i, basis in enumerate(self.leaf_bases):
+            nid = self.plan.leaf_node_id[i]
+            s0, s1 = self.plan.ranges[nid]
+            y[s0:s1] = basis.T @ y[s0:s1]
+            if nid in scales:
+                y[s0:s1] *= scales[nid][:, None]
+        for rec in self.history:
+            view = y[rec.start : rec.stop]
+            rec.apply_forward(view)
+            if rec.node_id in scales:
+                view *= scales[rec.node_id][:, None]
+        return y
 
     def inverse(self, x: np.ndarray) -> np.ndarray:
         """U x: history transposed in reverse, leaf bases, inverse permutation."""
@@ -167,12 +184,6 @@ class FactorizedGft:
             y[s0:s1] = basis @ y[s0:s1]
         out = y[self.plan.node_to_pos]
         return out[:, 0] if vec else out
-
-    def _leaf_forward(self, y: np.ndarray) -> None:
-        for i, basis in enumerate(self.leaf_bases):
-            nid = self.plan.leaf_node_id[i]
-            s0, s1 = self.plan.ranges[nid]
-            y[s0:s1] = basis.T @ y[s0:s1]
 
     def reconstruct_operator(self, spectral_multiplier: np.ndarray) -> np.ndarray:
         """Materialize U diag(g) U^T densely; verification-scale n only."""

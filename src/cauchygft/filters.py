@@ -310,20 +310,8 @@ def hierarchical_mix(
     """
     cfg.validate(f)
     arr, vec = f._check_rows(x)
-    y = arr[f.plan.pos_to_node].copy()
-    f._leaf_forward(y)
-    for i in range(len(f.leaf_bases)):
-        nid = f.plan.leaf_node_id[i]
-        mult = _node_multiplier(cfg, f, nid)
-        if mult is not None:
-            s0, s1 = f.plan.ranges[nid]
-            y[s0:s1] *= mult[:, None]
-    for rec in f.history:
-        view = y[rec.start : rec.stop]
-        rec.apply_forward(view)
-        mult = _node_multiplier(cfg, f, rec.node_id)
-        if mult is not None:
-            view *= mult[:, None]
+    scales = {nid: _node_multiplier(cfg, f, nid) for nid in cfg.node_filters}
+    y = f._walk_forward(arr, scales)
     return y[:, 0] if vec else y
 
 

@@ -19,13 +19,14 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
 from .errors import Disconnected, InvalidParams
-from .graph import COMBINATORIAL, Graph, build_laplacian, dense_eig
+from .graph import Graph, build_laplacian, dense_eig
 from .plan import MergePlan, PlanNode
 from .sparsify import SparsifyPolicy, apply_policy
 
 DEFAULT_QUANTILES = tuple(np.linspace(0.45, 0.55, 11))
 _DENSE_FIEDLER_N = 64
 _DENSE_FALLBACK_N = 2048
+_FIEDLER_ITERS = 40
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,6 @@ class CutCandidate:
     side_b: np.ndarray
     crossing_edges: list[tuple[int, int, float]]
     balance: float
-    quantile: float
 
 
 @dataclass(eq=False)
@@ -68,28 +68,21 @@ class PlanResult:
     graph: Graph  # equals the input unless interfaces were sparsified
 
 
-def fiedler_vector(
-    g: Graph,
-    seed: int = 0,
-    max_iter: int = 40,
-    kind: str = COMBINATORIAL,
-) -> np.ndarray:
-    """Unit eigenvector of the second-smallest Laplacian eigenvalue.
+def fiedler_vector(g: Graph, seed: int = 0) -> np.ndarray:
+    """Unit eigenvector of the second-smallest combinatorial Laplacian eigenvalue.
 
-    LOBPCG (block size 2, Jacobi preconditioner, exact null vector deflated)
-    with a dense fallback for small blocks and for non-converged mid-size
-    ones; very large non-converged blocks return the best iterate with a
-    warning, since bisection only needs the sign structure.
+    LOBPCG (block size 2, Jacobi preconditioner, constant null vector
+    deflated, _FIEDLER_ITERS iterations) with a dense fallback for small
+    blocks and for non-converged mid-size ones; very large non-converged
+    blocks return the best iterate with a warning, since bisection only
+    needs the sign structure.
     """
     if g.n < 2:
         raise InvalidParams("Fiedler vector needs at least two nodes")
     if not g.is_connected():
         raise Disconnected("Fiedler vector of a disconnected graph")
-    lap = build_laplacian(g, kind)
-    if kind == COMBINATORIAL:
-        null = np.ones(g.n)
-    else:
-        null = np.sqrt(g.degrees())
+    lap = build_laplacian(g)
+    null = np.ones(g.n)
     null /= np.linalg.norm(null)
 
     def dense_path() -> np.ndarray:
@@ -116,7 +109,7 @@ def fiedler_vector(
                     M=precond,
                     Y=null[:, None],
                     largest=False,
-                    maxiter=max_iter,
+                    maxiter=_FIEDLER_ITERS,
                     tol=1e-10 * max(1.0, float(diag.max())),
                 )
             except Exception:
@@ -136,8 +129,8 @@ def fiedler_vector(
                 v = dense_path()
             else:
                 warnings.warn(
-                    f"Fiedler LOBPCG residual {res:.2e} after {max_iter} iterations; "
-                    "returning best iterate"
+                    f"Fiedler LOBPCG residual {res:.2e} after {_FIEDLER_ITERS} "
+                    "iterations; returning best iterate"
                 )
     return _finalize_fiedler(v, null)
 
@@ -153,30 +146,24 @@ def _finalize_fiedler(v: np.ndarray, null: np.ndarray) -> np.ndarray:
     return v if lead >= 0.0 else -v
 
 
-def bisect(
-    g: Graph,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
-    seed: int = 0,
-    fiedler: np.ndarray | None = None,
-) -> CutCandidate:
-    """Quantile sweep over the Fiedler order; fewest crossing edges wins.
+def bisect(g: Graph, seed: int = 0) -> CutCandidate:
+    """Sweep DEFAULT_QUANTILES over the Fiedler order; fewest crossing edges wins.
 
     Ties break toward balance closest to 1/2, then the lower quantile.
     """
-    v = fiedler_vector(g, seed=seed) if fiedler is None else fiedler
+    v = fiedler_vector(g, seed=seed)
     order = np.argsort(v, kind="stable")
     rank = np.empty(g.n, dtype=np.int64)
     rank[order] = np.arange(g.n)
     best = None
-    for q in quantiles:
+    for q in DEFAULT_QUANTILES:
         m_a = min(max(int(round(q * g.n)), 1), g.n - 1)
         in_a = rank < m_a
         crossing = int(np.sum(in_a[g.uu] != in_a[g.vv]))
-        balance = m_a / g.n
-        key = (crossing, abs(balance - 0.5), q)
+        key = (crossing, abs(m_a / g.n - 0.5), q)
         if best is None or key < best[0]:
-            best = (key, m_a, q)
-    _, m_a, q = best
+            best = (key, m_a)
+    _, m_a = best
     in_a = rank < m_a
     mask = in_a[g.uu] != in_a[g.vv]
     crossing_edges = [
@@ -188,20 +175,7 @@ def bisect(
         side_b=np.flatnonzero(~in_a),
         crossing_edges=crossing_edges,
         balance=m_a / g.n,
-        quantile=float(q),
     )
-
-
-@dataclass(eq=False)
-class _Leaf:
-    nodes: np.ndarray
-
-
-@dataclass(eq=False)
-class _Split:
-    left: object
-    right: object
-    bridges: list[tuple[int, int, float]]
 
 
 def build_plan(
@@ -210,21 +184,42 @@ def build_plan(
     max_levels: int = 8,
     sparsify: SparsifyPolicy | None = None,
     seed: int = 0,
-    quantiles: tuple[float, ...] = DEFAULT_QUANTILES,
     force_levels: int = 0,
 ) -> PlanResult:
     """Recursive bisection under the cost rule; returns plan + (sparsified) graph.
 
-    force_levels accepts the first `force_levels` splits unconditionally
-    (benchmark plans with a fixed shape); max_levels caps tree depth. The
-    degenerate outcome is a single-leaf plan, i.e. one dense solve.
+    Every cut sweeps DEFAULT_QUANTILES. force_levels accepts the first
+    `force_levels` splits unconditionally (benchmark plans with a fixed
+    shape); max_levels caps tree depth. The degenerate outcome is a
+    single-leaf plan, i.e. one dense solve. Tree nodes are numbered
+    children first, leaves left to right.
     """
     cost = cost or CostModel()
     rng = np.random.default_rng(seed)
+    leaves: list[np.ndarray] = []
+    tree: list[PlanNode] = []
+    interfaces: dict[int, list[tuple[int, int, float]]] = {}
 
-    def recurse(nodes: np.ndarray, depth: int):
+    def leaf(nodes: np.ndarray) -> int:
+        nid = len(tree)
+        tree.append(PlanNode(id=nid, children=None, leaf_index=len(leaves)))
+        leaves.append(np.sort(nodes))
+        return nid
+
+    def split(left: np.ndarray, right: np.ndarray, depth: int, bridges) -> int:
+        a = recurse(left, depth + 1)
+        b = recurse(right, depth + 1)
+        nid = len(tree)
+        tree.append(PlanNode(id=nid, children=(a, b), leaf_index=None))
+        if bridges:
+            interfaces[nid] = sorted(
+                bridges, key=lambda e: (min(e[0], e[1]), max(e[0], e[1]))
+            )
+        return nid
+
+    def recurse(nodes: np.ndarray, depth: int) -> int:
         if nodes.size < 2 or depth >= max_levels:
-            return _Leaf(nodes)
+            return leaf(nodes)
         sub, _ = g.induced_subgraph(nodes)
         comps = sub.connected_components()
         if len(comps) > 1:
@@ -244,15 +239,11 @@ def build_plan(
                     tot_b += comps[ci].size
             left = np.sort(np.concatenate([nodes[comps[i]] for i in bin_a]))
             right = np.sort(np.concatenate([nodes[comps[i]] for i in bin_b]))
-            return _Split(
-                left=recurse(left, depth + 1),
-                right=recurse(right, depth + 1),
-                bridges=[],
-            )
+            return split(left, right, depth, [])
         sub_seed = int(rng.integers(1 << 62))
-        cand = bisect(sub, quantiles=quantiles, seed=sub_seed, fiedler=None)
+        cand = bisect(sub, seed=sub_seed)
         if not cand.crossing_edges:
-            return _Leaf(nodes)
+            return leaf(nodes)
         crossing_local = cand.crossing_edges
         if sparsify is not None:
             spars = apply_policy(sub, crossing_local, sparsify, seed=sub_seed + 1)
@@ -264,50 +255,23 @@ def build_plan(
         if not forced and not cost.accepts(
             nodes.size, cand.side_a.size, cand.side_b.size, k_eff
         ):
-            return _Leaf(nodes)
+            return leaf(nodes)
         bridges = [
             (int(nodes[u]), int(nodes[v]), float(w)) for u, v, w in kept_local
         ]
-        return _Split(
-            left=recurse(nodes[cand.side_a], depth + 1),
-            right=recurse(nodes[cand.side_b], depth + 1),
-            bridges=bridges,
-        )
+        return split(nodes[cand.side_a], nodes[cand.side_b], depth, bridges)
 
-    tree = recurse(np.arange(g.n, dtype=np.int64), 0)
-
-    leaves: list[np.ndarray] = []
-    nodes: list[PlanNode] = []
-    interfaces: dict[int, list[tuple[int, int, float]]] = {}
-
-    def emit(t) -> int:
-        if isinstance(t, _Leaf):
-            li = len(leaves)
-            leaves.append(np.sort(t.nodes))
-            nid = len(nodes)
-            nodes.append(PlanNode(id=nid, children=None, leaf_index=li))
-            return nid
-        a = emit(t.left)
-        b = emit(t.right)
-        nid = len(nodes)
-        nodes.append(PlanNode(id=nid, children=(a, b), leaf_index=None))
-        if t.bridges:
-            interfaces[nid] = sorted(
-                t.bridges, key=lambda e: (min(e[0], e[1]), max(e[0], e[1]))
-            )
-        return nid
-
-    emit(tree)
+    recurse(np.arange(g.n, dtype=np.int64), 0)
     plan = MergePlan(
         n=g.n,
         leaves=leaves,
-        nodes=nodes,
+        nodes=tree,
         interfaces=interfaces,
         config={
             "seed": seed,
             "max_levels": max_levels,
             "force_levels": force_levels,
-            "quantiles": [float(q) for q in quantiles],
+            "quantiles": [float(q) for q in DEFAULT_QUANTILES],
             "cost": cost.describe(),
             "sparsify": None
             if sparsify is None

@@ -49,6 +49,9 @@ _MASK_MAX_M = 1024
 # widest merge record (positions) that is served through one dense operator:
 # below it rebuilding every Cauchy block per call costs more than the multiply
 _DENSE_CACHE_MAX = 512
+# guarded rational-model steps per secular root, then as many bisection
+# sweeps before a root still open raises BracketFailure
+_MODEL_STEPS = 100
 
 
 def default_tolerances(
@@ -216,16 +219,11 @@ class CauchyFactor:
 # deflation
 
 
-def deflate(
-    lam: np.ndarray,
-    z: np.ndarray,
-    tol_z: float | None = None,
-    tol_lambda: float | None = None,
-    rho: float = 1.0,
-) -> DeflationRecord:
+def deflate(lam: np.ndarray, z: np.ndarray, rho: float = 1.0) -> DeflationRecord:
     """Reduce (lam ascending, z) to a strictly-separated all-nonzero core.
 
-    Case 2 first: within each cluster of eigenvalues closer than tol_lambda
+    With (tol_z, tol_lambda) = default_tolerances(lam, z, rho): Case 2
+    first, within each cluster of eigenvalues closer than tol_lambda
     (chained), a Householder reflector concentrates the cluster's z-mass on
     its first index. Case 1 second: indices with |z| <= tol_z are dropped.
     Worst case everything deflates and `kept` is empty.
@@ -237,10 +235,7 @@ def deflate(
     if lam.size and np.any(np.diff(lam) < 0.0):
         raise InvalidParams("eigenvalues must be ascending")
     m = lam.size
-    if tol_z is None or tol_lambda is None:
-        dz, dl = default_tolerances(lam, z, rho)
-        tol_z = dz if tol_z is None else tol_z
-        tol_lambda = dl if tol_lambda is None else tol_lambda
+    tol_z, tol_lambda = default_tolerances(lam, z, rho)
 
     zd = z.copy()
     blocks: list[HouseholderBlock] = []
@@ -410,13 +405,13 @@ def _solve_two(gap: float, z0: float, z1: float):
     return np.array([o0, 1], dtype=np.int64), np.array([tau0, tau1])
 
 
-def _solve_roots(d, zeta, max_iter: int = 100):
+def _solve_roots(d, zeta):
     """All m roots of 1 + sum zeta_i/(d_i - mu), d strictly ascending, zeta > 0.
 
     Returns (origins, tau) with root_j = d[origins[j]] + tau[j]; roots come
     out bracket-sorted. Vectorized over roots; bisection-safeguarded. Raises
-    BracketFailure if any root is still uncertified after max_iter model
-    steps and 100 bisection sweeps.
+    BracketFailure if any root is still uncertified after _MODEL_STEPS model
+    steps and _MODEL_STEPS bisection sweeps.
     """
     m = d.size
     if m == 0:
@@ -466,7 +461,7 @@ def _solve_roots(d, zeta, max_iter: int = 100):
     # residual floor: per-term rounding plus pairwise-summation growth; a
     # threshold below this stalls every root into bisection at large m
     resid_tol = 8.0 * _EPS * (2.0 + np.log2(m))
-    sweeps = max_iter + 100
+    sweeps = 2 * _MODEL_STEPS
     # one pass more than there are sweeps, so the last sweep's iterates are
     # certified before any root is declared unconverged
     for sweep in range(sweeps + 1):
@@ -483,14 +478,14 @@ def _solve_roots(d, zeta, max_iter: int = 100):
                 f"after {sweeps} sweeps"
             )
         act = np.flatnonzero(~done)
-        if sweep < max_iter:
+        if sweep < _MODEL_STEPS:
             step = _model_step(
                 tau[act], lo[act], hi[act],
                 psi[act], dpsi[act], phi[act], dphi[act],
                 dl[act], dr[act],
             )
         else:
-            step = 0.5 * (lo[act] + hi[act])  # spec: bisect after 100 iterations
+            step = 0.5 * (lo[act] + hi[act])  # bisect once the model steps run out
         tau[act] = step
         psi_a, dpsi_a, phi_a, dphi_a = _split_sums(
             d, zeta, origins[act], tau[act], p_left[act], stair
@@ -675,11 +670,7 @@ def build_cauchy_factor(record: DeflationRecord, sol: SecularSolution) -> Cauchy
 
 
 def rank_one_update_factor(
-    lam: np.ndarray,
-    z: np.ndarray,
-    rho: float = 1.0,
-    tol_z: float | None = None,
-    tol_lambda: float | None = None,
+    lam: np.ndarray, z: np.ndarray, rho: float = 1.0
 ) -> tuple[CauchyFactor, np.ndarray]:
     """Deflate, solve and assemble one update; also return the new eigenvalues.
 
@@ -688,7 +679,7 @@ def rank_one_update_factor(
     """
     lam = np.asarray(lam, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    record = deflate(lam, z, tol_z=tol_z, tol_lambda=tol_lambda, rho=rho)
+    record = deflate(lam, z, rho=rho)
     sol = solve_secular(lam[record.kept], record.z_deflated, rho)
     factor = build_cauchy_factor(record, sol)
     lam_new = lam.copy()

@@ -43,6 +43,11 @@ _SKETCH_COLS = 64
 # draw does, and every resistance sums its own row, so any size gives the
 # same bits; it bounds the int64 and float64 temporaries of either pass.
 _SIGN_CHUNK_ELEMS = 1 << 18
+# relative residual and iteration cap of every resistance-sketch PCG column
+_PCG_TOL = 1e-8
+_PCG_MAXITER = 1000
+# largest n whose spectral-bound report adds the dense generalized extremes
+_BOUND_DENSE_N = 300
 
 
 def _edge_key(u: int, v: int) -> tuple[int, int]:
@@ -72,7 +77,6 @@ class ResistanceEstimate:
 class SparsifiedInterface:
     kept_edges: list[tuple[int, int, float]]
     original_count: int
-    kept_fraction: float
     sample_count: int
 
 
@@ -232,15 +236,15 @@ def estimate_resistances(
     edges: list[tuple[int, int]] | None = None,
     eps_jl: float = 0.5,
     seed: int = 0,
-    tol: float = 1e-8,
-    maxiter: int = 1000,
 ) -> ResistanceEstimate:
     """Sketched effective resistances R_e = ||Z(e_u - e_v)||^2.
 
     Z projects the weighted incidence through Laplacian solves with a
     +-1/sqrt(k) random-sign matrix of k = max(20, ceil(24 log n / eps^2))
-    rows. The sketch spans the whole graph; estimates are reported for the
-    requested edges (default: all of them).
+    rows; each solve is a Jacobi PCG to relative residual _PCG_TOL within
+    _PCG_MAXITER iterations, and SolverNotConverged reports the columns
+    that miss it. The sketch spans the whole graph; estimates are reported
+    for the requested edges (default: all of them).
 
     Memory: the signs are kept as bytes (E * k), the solution only at the
     requested edges' endpoints (endpoints x k doubles), and each worker
@@ -304,7 +308,7 @@ def estimate_resistances(
             np.multiply(signs[b], scale, out=y)
             yt = _csr_matmul_into(bt, y, rhs[: g.n * y.shape[1]].reshape(g.n, -1))
             x, left = _jacobi_block_pcg(
-                lap, yt, tol=tol, maxiter=maxiter, work=work, rows=nodes, minv=minv
+                lap, yt, _PCG_TOL, _PCG_MAXITER, work=work, rows=nodes, minv=minv
             )
             kept[:, blocks[b]] = x
             unconverged += left
@@ -314,7 +318,8 @@ def estimate_resistances(
         unconverged = sum(pool.map(solve, range(workers)))
     if unconverged:
         raise SolverNotConverged(
-            f"block PCG: {unconverged} of {k} columns above tol after {maxiter} iterations"
+            f"block PCG: {unconverged} of {k} columns above tol after "
+            f"{_PCG_MAXITER} iterations"
         )
     vals = np.empty(len(req))
     for s in range(0, len(req), rows):
@@ -374,7 +379,6 @@ def sparsify_interface(
     return SparsifiedInterface(
         kept_edges=kept,
         original_count=m,
-        kept_fraction=len(kept) / m,
         sample_count=q,
     )
 
@@ -393,11 +397,10 @@ def verify_spectral_bound(
     eps: float,
     trials: int = 200,
     seed: int = 0,
-    dense_limit: int = 300,
 ) -> SpectralBoundReport:
     """Report min/max of x^T L' x / x^T L x against the (1 +- eps) band.
 
-    Random unit directions always; for n <= dense_limit the generalized
+    Random unit directions always; for n <= _BOUND_DENSE_N the generalized
     eigenvalue extremes on the range of L are included, which makes the
     reported ratios the true worst case. Probabilistic at aggressive
     sampling rates, so this reports rather than asserts.
@@ -419,7 +422,7 @@ def verify_spectral_bound(
     rnd_min = min(ratios) if ratios else 1.0
     rnd_max = max(ratios) if ratios else 1.0
     lo, hi = rnd_min, rnd_max
-    dense = n <= dense_limit
+    dense = n <= _BOUND_DENSE_N
     if dense:
         w, u = np.linalg.eigh(a)
         pos = w > 1e-10 * max(1.0, float(w[-1]))
@@ -448,8 +451,6 @@ class SparsifyPolicy:
     keep_fraction: float | None = None
     target_count: int | None = None
     eps_jl: float = 0.5
-    solver_tol: float = 1e-8
-    solver_maxiter: int = 1000
 
     def __post_init__(self):
         if self.keep_fraction is None and self.target_count is None:
@@ -464,14 +465,7 @@ def apply_policy(
 ) -> SparsifiedInterface:
     """Sparsify one interface of a connected subgraph under a policy."""
     try:
-        resist = estimate_resistances(
-            sub,
-            crossing_local,
-            eps_jl=policy.eps_jl,
-            seed=seed,
-            tol=policy.solver_tol,
-            maxiter=policy.solver_maxiter,
-        )
+        resist = estimate_resistances(sub, crossing_local, eps_jl=policy.eps_jl, seed=seed)
     except SolverNotConverged as exc:
         warnings.warn(f"resistance solve did not converge ({exc}); using 1/w")
         resist = ResistanceEstimate(

@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cauchygft import cli
 from cauchygft.bench import read_csv
 from cauchygft.cli import main
 
@@ -54,6 +55,20 @@ class TestFactorizeCmd:
             main(command + ["--threads", "2"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_verify_skipped_above_dense_limit(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "DENSE_LIMIT", 30)
+        code = main(["factorize", "--ba", "40", "2", "0", "--verify"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "skipping verification: n=40 > 30" in out
+        assert "verification ok" not in out
+
+    def test_dense_limit_option_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["factorize", "--ba", "20", "2", "0", "--verify", "--dense-limit", "3000"])
+        assert exc.value.code == 2
+        assert "--dense-limit" in capsys.readouterr().err
 
     def test_saved_plan_reuse(self, tmp_path, capsys):
         plan_path = tmp_path / "plan.json"

@@ -70,7 +70,7 @@ class TestFiedler:
 
 class TestBisect:
     def test_p4_halves(self):
-        cand = bisect(path_graph(4), quantiles=(0.5,))
+        cand = bisect(path_graph(4))
         sides = {frozenset(cand.side_a.tolist()), frozenset(cand.side_b.tolist())}
         assert sides == {frozenset({0, 1}), frozenset({2, 3})}
         assert len(cand.crossing_edges) == 1

@@ -278,13 +278,15 @@ class TestSketchBlocks:
         g = barabasi_albert(208, 2, seed=4)
         k = jl_dimension(g.n, 0.5)
         monkeypatch.setattr(sparsify, "_sketch_workers", lambda: 2)
+        monkeypatch.setattr(sparsify, "_PCG_MAXITER", 1)
         with pytest.raises(SolverNotConverged, match=rf"block PCG: {k} of {k} columns"):
-            estimate_resistances(g, seed=0, maxiter=1)
+            estimate_resistances(g, seed=0)
 
-    def test_policy_falls_back_to_inverse_weights(self):
+    def test_policy_falls_back_to_inverse_weights(self, monkeypatch):
         g = barabasi_albert(208, 2, seed=4)
         crossing = g.edge_list()[:12]
-        policy = SparsifyPolicy(target_count=4, solver_maxiter=1)
+        monkeypatch.setattr(sparsify, "_PCG_MAXITER", 1)
+        policy = SparsifyPolicy(target_count=4)
         with pytest.warns(UserWarning, match="did not converge"):
             out = apply_policy(g, crossing, policy, seed=3)
         inverse_w = ResistanceEstimate(
