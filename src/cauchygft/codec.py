@@ -2,16 +2,20 @@
 
 A dataclass is written as a dict of its init fields and read back by
 walking its type hints: nested dataclasses, ``list[X]``, ``tuple[X, ...]``,
-``dict[K, V]``, ``X | None`` and arrays, whose dtype each field declares
-once as ``F64`` or ``I64``. A type with its own ``to_dict``/``from_dict``
-(the merge plan, whose content hash is taken over that text) goes through
-them.
+fixed tuples such as ``tuple[int, int, float]`` (read element by element,
+so a weight written as ``1`` loads as ``1.0``), ``dict[K, V]``, ``X | None``
+in either spelling (``typing.Union`` or ``types.UnionType``) and arrays,
+whose dtype each field declares once as ``F64`` or ``I64``. A type with its
+own ``to_dict``/``from_dict`` goes through them: the merge plan and the
+transform wrap the fields in a ``"version"`` key, and the plan's content
+hash is taken over that text.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import types
 import typing
 from typing import Annotated
 
@@ -59,9 +63,11 @@ def from_json(hint, data):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
         return np.asarray(data, dtype=args[1])
-    if origin is typing.Union:
+    if origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in args if a is not type(None)]
         return None if data is None else from_json(inner, data)
+    if origin is tuple and args[-1] is not Ellipsis:
+        return tuple(from_json(a, v) for a, v in zip(args, data, strict=True))
     if origin in (list, tuple):
         return origin(from_json(args[0], v) for v in data)
     if origin is dict:

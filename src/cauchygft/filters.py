@@ -10,7 +10,6 @@ happens here; coefficients and centers are plain configuration.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,21 +154,6 @@ class FilterBank:
 
     # -- config file form ----------------------------------------------------
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "K": self.num_basis,
-            "centers": self.centers.tolist(),
-            "widths": self.widths.tolist() if self.widths is not None else None,
-            "degree": self.degree,
-            "knots": bspline_knots(self.num_basis, self.degree).tolist()
-            if self.kind == "spline"
-            else None,
-            "coefficients": self.coefficients.tolist(),
-            "normalize": self.normalize,
-            "lambda_max": self.lambda_max,
-        }
-
     @classmethod
     def from_dict(cls, data: dict) -> FilterBank:
         kind = data["kind"]
@@ -194,15 +178,6 @@ class FilterBank:
             normalize=data.get("normalize", False),
             lambda_max=data.get("lambda_max", 1.0),
         )
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-
-    @classmethod
-    def load(cls, path: str) -> FilterBank:
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
 
 
 def eval_bank(bank: FilterBank, lambdas: np.ndarray) -> np.ndarray:
@@ -284,7 +259,7 @@ class FilterLayerConfig:
     node_filters: dict[int, SpectralFilter] = field(default_factory=dict)
 
     def validate(self, f: FactorizedGft) -> None:
-        known = {nd.id for nd in f.plan.nodes}
+        known = set(f.plan.ranges)
         bad = set(self.node_filters) - known
         if bad:
             raise ConfigMismatch(f"filters reference unknown tree nodes {sorted(bad)}")

@@ -202,7 +202,7 @@ def build_plan(
 
     def leaf(nodes: np.ndarray) -> int:
         nid = len(tree)
-        tree.append(PlanNode(id=nid, children=None, leaf_index=len(leaves)))
+        tree.append(PlanNode(id=nid, children=None, leaf=len(leaves)))
         leaves.append(np.sort(nodes))
         return nid
 
@@ -210,7 +210,7 @@ def build_plan(
         a = recurse(left, depth + 1)
         b = recurse(right, depth + 1)
         nid = len(tree)
-        tree.append(PlanNode(id=nid, children=(a, b), leaf_index=None))
+        tree.append(PlanNode(id=nid, children=(a, b), leaf=None))
         if bridges:
             interfaces[nid] = sorted(
                 bridges, key=lambda e: (min(e[0], e[1]), max(e[0], e[1]))
@@ -265,7 +265,7 @@ def build_plan(
     plan = MergePlan(
         n=g.n,
         leaves=leaves,
-        nodes=tree,
+        tree=tree,
         interfaces=interfaces,
         config={
             "seed": seed,

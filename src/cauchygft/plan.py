@@ -1,10 +1,16 @@
 """Hierarchical merge plans: leaf blocks, binary merge tree, bridge interfaces.
 
 A plan orders the graph's nodes into contiguous leaf blocks and fixes a
-binary tree over the leaves. Every edge is either internal to one leaf or
-assigned to exactly one interface: the tree node where its endpoints' leaf
-subtrees first join. Interface size k (max bridges per merge) is what the
+binary tree over the leaves. The tree is a list in children-first order:
+entry i has id i, an internal node's children come before it and the last
+entry is the root. Each tree node's position range and parent are derived
+from that list once. Every edge is either internal to one leaf or assigned
+to exactly one interface: its owner, the lowest tree node whose range holds
+both endpoints. Interface size k (max bridges per merge) is what the
 factorization cost scales with.
+
+A plan is saved as its fields through the codec behind a "version" key;
+`content_hash` is taken over that text.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .codec import I64, fields_from_dict, fields_to_dict
 from .errors import PlanMismatch
 from .graph import Graph
 
@@ -25,23 +32,26 @@ PLAN_VERSION = 1
 class PlanNode:
     id: int
     children: tuple[int, int] | None  # child node ids, or None for a leaf
-    leaf_index: int | None
+    leaf: int | None  # index into MergePlan.leaves, or None for a merge
 
 
 @dataclass(eq=False)
 class MergePlan:
-    """Leaf node sets, merge tree, and per-merge bridge-edge interfaces."""
+    """Leaf node sets, merge tree, and per-merge bridge-edge interfaces.
+
+    Interfaces map a tree node id to its bridges (u, v, w); they are written
+    in dict order, which build_plan and plan_from_leaves fill by node id.
+    A tree that is not one binary tree over all n positions raises
+    PlanMismatch on construction.
+    """
 
     n: int
-    leaves: list[np.ndarray]
-    nodes: list[PlanNode]
+    leaves: list[I64]
+    tree: list[PlanNode]
     interfaces: dict[int, list[tuple[int, int, float]]]
     config: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._derive()
-
-    def _derive(self) -> None:
         self.node_to_pos = -np.ones(self.n, dtype=np.int64)
         self.pos_to_node = np.concatenate(
             [np.asarray(lv, dtype=np.int64) for lv in self.leaves]
@@ -50,40 +60,44 @@ class MergePlan:
         self.leaf_of = -np.ones(self.n, dtype=np.int64)
         for i, lv in enumerate(self.leaves):
             self.leaf_of[np.asarray(lv)] = i
-        # contiguous position range per tree node, bottom-up
+        # contiguous position range, parent and depth per tree node, bottom-up
         offsets = np.concatenate(
             [[0], np.cumsum([len(lv) for lv in self.leaves])]
         )
         self.ranges: dict[int, tuple[int, int]] = {}
-        self.leaf_sets: dict[int, set[int]] = {}
-        self.parent = {nd.id: None for nd in self.nodes}
-        for nd in self.nodes:
+        self.parent: dict[int, int | None] = {}
+        self.leaf_node_id: dict[int, int] = {}
+        depth: dict[int, int] = {}
+        for nid, nd in enumerate(self.tree):
+            if nd.id != nid:
+                raise PlanMismatch(f"tree entry {nid} has id {nd.id}")
+            self.parent[nid] = None
             if nd.children is None:
-                li = nd.leaf_index
-                self.ranges[nd.id] = (int(offsets[li]), int(offsets[li + 1]))
-                self.leaf_sets[nd.id] = {li}
-            else:
-                a, b = nd.children
-                self.parent[a] = nd.id
-                self.parent[b] = nd.id
-                self.ranges[nd.id] = (self.ranges[a][0], self.ranges[b][1])
-                self.leaf_sets[nd.id] = self.leaf_sets[a] | self.leaf_sets[b]
-        self.root_id = self.nodes[-1].id
-        self.leaf_node_id = {
-            nd.leaf_index: nd.id for nd in self.nodes if nd.children is None
-        }
-        self.level: dict[int, int] = {}
-        for nd in self.nodes:
-            if nd.children is None:
-                self.level[nd.id] = 0
-            else:
-                self.level[nd.id] = 1 + max(
-                    self.level[nd.children[0]], self.level[nd.children[1]]
-                )
-
-    @property
-    def num_levels(self) -> int:
-        return self.level[self.root_id]
+                if nd.leaf in self.leaf_node_id or not 0 <= nd.leaf < len(self.leaves):
+                    raise PlanMismatch(f"tree node {nid} names leaf {nd.leaf}, unknown or taken")
+                self.ranges[nid] = (int(offsets[nd.leaf]), int(offsets[nd.leaf + 1]))
+                self.leaf_node_id[nd.leaf] = nid
+                depth[nid] = 0
+                continue
+            for c in nd.children:
+                # missing (not an earlier node) or already claimed
+                if self.parent.get(c, nid) is not None:
+                    raise PlanMismatch(f"tree node {nid} cannot take node {c} as a child")
+                self.parent[c] = nid
+            a, b = nd.children
+            if self.ranges[a][1] != self.ranges[b][0]:
+                raise PlanMismatch("child blocks are not adjacent")
+            self.ranges[nid] = (self.ranges[a][0], self.ranges[b][1])
+            depth[nid] = 1 + max(depth[a], depth[b])
+        self.root_id = len(self.tree) - 1
+        roots = [nid for nid, up in self.parent.items() if up is None]
+        if (
+            roots != [self.root_id]
+            or len(self.leaf_node_id) != len(self.leaves)
+            or self.ranges[self.root_id] != (0, self.n)
+        ):
+            raise PlanMismatch(f"tree is not one binary tree over all {self.n} positions")
+        self.num_levels = depth[self.root_id]
 
     @property
     def max_interface_size(self) -> int:
@@ -96,18 +110,15 @@ class MergePlan:
 
     def internal_nodes(self) -> list[PlanNode]:
         """Internal nodes children-first (the merge execution order)."""
-        return [nd for nd in self.nodes if nd.children is not None]
+        return [nd for nd in self.tree if nd.children is not None]
 
-    def lca_of_leaves(self, la: int, lb: int) -> int:
-        ia = self.leaf_node_id[la]
-        ib = self.leaf_node_id[lb]
-        seen = set()
-        while ia is not None:
-            seen.add(ia)
-            ia = self.parent[ia]
-        while ib not in seen:
-            ib = self.parent[ib]
-        return ib
+    def owner(self, u: int, v: int) -> int:
+        """The lowest tree node whose position range holds both u and v."""
+        pos = self.node_to_pos[v]
+        nid = self.leaf_node_id[int(self.leaf_of[u])]
+        while not self.ranges[nid][0] <= pos < self.ranges[nid][1]:
+            nid = self.parent[nid]
+        return nid
 
     def validate(self, g: Graph) -> None:
         """Check the plan covers g exactly; raise PlanMismatch otherwise."""
@@ -116,24 +127,12 @@ class MergePlan:
         cover = np.sort(self.pos_to_node)
         if not np.array_equal(cover, np.arange(self.n)):
             raise PlanMismatch("leaves do not partition the node set")
-        for nd in self.nodes:
-            if nd.children is not None:
-                a, b = nd.children
-                if self.ranges[a][1] != self.ranges[b][0]:
-                    raise PlanMismatch("child blocks are not adjacent")
         assigned: dict[tuple[int, int], float] = {}
         for nid, edges in self.interfaces.items():
-            nd = self.nodes[nid]
-            if nd.children is None:
-                raise PlanMismatch(f"leaf node {nid} cannot own an interface")
-            la_set = self.leaf_sets[nd.children[0]]
-            lb_set = self.leaf_sets[nd.children[1]]
             for u, v, w in edges:
-                lu, lv = int(self.leaf_of[u]), int(self.leaf_of[v])
-                crosses = (lu in la_set and lv in lb_set) or (
-                    lu in lb_set and lv in la_set
-                )
-                if not crosses:
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise PlanMismatch(f"edge ({u},{v}) has an endpoint outside the graph")
+                if self.owner(u, v) != nid:
                     raise PlanMismatch(
                         f"edge ({u},{v}) does not cross the children of node {nid}"
                     )
@@ -160,55 +159,21 @@ class MergePlan:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "version": PLAN_VERSION,
-            "n": self.n,
-            "leaves": [np.asarray(lv).tolist() for lv in self.leaves],
-            "tree": [
-                {
-                    "id": nd.id,
-                    "children": list(nd.children) if nd.children else None,
-                    "leaf": nd.leaf_index,
-                }
-                for nd in self.nodes
-            ],
-            "interfaces": {
-                str(nid): [[int(u), int(v), float(w)] for u, v, w in edges]
-                for nid, edges in sorted(self.interfaces.items())
-            },
-            "config": self.config,
-        }
+        return {"version": PLAN_VERSION, **fields_to_dict(self)}
 
     @classmethod
     def from_dict(cls, data: dict) -> MergePlan:
         """Rebuild a saved plan; PlanMismatch if the data is not one.
 
         The version must be PLAN_VERSION; a missing or mistyped field, or
-        leaves that do not index n nodes, are reported the same way.
+        leaves that do not index n nodes, are reported the same way. A
+        missing "config" reads as {}.
         """
         try:
             version = data["version"]
             if version != PLAN_VERSION:
                 raise PlanMismatch(f"plan version {version!r}, expected {PLAN_VERSION}")
-            nodes = [
-                PlanNode(
-                    id=nd["id"],
-                    children=tuple(nd["children"]) if nd["children"] else None,
-                    leaf_index=nd["leaf"],
-                )
-                for nd in data["tree"]
-            ]
-            interfaces = {
-                int(nid): [(int(u), int(v), float(w)) for u, v, w in edges]
-                for nid, edges in data["interfaces"].items()
-            }
-            return cls(
-                n=data["n"],
-                leaves=[np.asarray(lv, dtype=np.int64) for lv in data["leaves"]],
-                nodes=nodes,
-                interfaces=interfaces,
-                config=data.get("config", {}),
-            )
+            return fields_from_dict(cls, {"config": {}, **data})
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise PlanMismatch(f"malformed plan ({type(exc).__name__}: {exc})") from exc
 
@@ -245,38 +210,26 @@ def plan_from_leaves(
     first join. Handy for hand-built plans in tests and for forced splits.
     """
     leaves = [np.asarray(sorted(lv), dtype=np.int64) for lv in leaf_sets]
-    nodes: list[PlanNode] = []
-    frontier: list[int] = []
-    for i in range(len(leaves)):
-        nodes.append(PlanNode(id=i, children=None, leaf_index=i))
-        frontier.append(i)
+    tree = [PlanNode(id=i, children=None, leaf=i) for i in range(len(leaves))]
+    frontier = list(range(len(leaves)))
     while len(frontier) > 1:
         nxt = []
         for j in range(0, len(frontier) - 1, 2):
-            nid = len(nodes)
-            nodes.append(
-                PlanNode(id=nid, children=(frontier[j], frontier[j + 1]), leaf_index=None)
+            nxt.append(len(tree))
+            tree.append(
+                PlanNode(id=len(tree), children=(frontier[j], frontier[j + 1]), leaf=None)
             )
-            nxt.append(nid)
         if len(frontier) % 2:
             nxt.append(frontier[-1])
         frontier = nxt
-    plan = MergePlan(
-        n=g.n,
-        leaves=leaves,
-        nodes=nodes,
-        interfaces={},
-        config=config or {},
-    )
-    interfaces: dict[int, list[tuple[int, int, float]]] = {}
+    plan = MergePlan(n=g.n, leaves=leaves, tree=tree, interfaces={}, config=config or {})
+    owned: dict[int, list[tuple[int, int, float]]] = {}
     for u, v, w in zip(g.uu, g.vv, g.ww):
-        lu, lv = int(plan.leaf_of[u]), int(plan.leaf_of[v])
-        if lu == lv:
-            continue
-        nid = plan.lca_of_leaves(lu, lv)
-        interfaces.setdefault(nid, []).append((int(u), int(v), float(w)))
-    for nid in interfaces:
-        interfaces[nid].sort(key=lambda e: (min(e[0], e[1]), max(e[0], e[1])))
-    plan.interfaces = interfaces
+        if plan.leaf_of[u] != plan.leaf_of[v]:
+            owned.setdefault(plan.owner(u, v), []).append((int(u), int(v), float(w)))
+    plan.interfaces = {
+        nid: sorted(owned[nid], key=lambda e: (min(e[0], e[1]), max(e[0], e[1])))
+        for nid in sorted(owned)
+    }
     plan.validate(g)
     return plan

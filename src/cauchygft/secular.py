@@ -507,16 +507,15 @@ def solve_secular(
 ) -> SecularSolution:
     """Roots of 1 + rho sum z_i^2/(lam_i - mu) = 0, one per interleaving bracket.
 
-    Requires strictly ascending lambda_old and all z nonzero (run deflate
-    first). rho < 0 is reduced to the positive case by negating the matrix
-    and reflecting the spectrum.
+    Requires rho > 0, strictly ascending lambda_old and all z nonzero (run
+    deflate first).
     """
     lam = np.asarray(lambda_old, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
     if lam.shape != z.shape or lam.ndim != 1:
         raise DimensionMismatch("lambda and z must be 1-D of equal length")
-    if rho == 0.0:
-        raise InvalidParams("rho must be nonzero")
+    if not rho > 0.0:
+        raise InvalidParams(f"rho must be positive, got {rho}")
     if lam.size == 0:
         return SecularSolution(
             lambda_old=lam, z=z, rho=rho,
@@ -526,15 +525,6 @@ def solve_secular(
         raise BracketFailure("eigenvalues not strictly ascending after deflation")
     if np.any(z == 0.0):
         raise BracketFailure("zero z entry reached the root finder")
-
-    if rho < 0.0:
-        inner = solve_secular(-lam[::-1], z[::-1], -rho)
-        m = lam.size
-        origins = (m - 1) - inner.origins[::-1]
-        offsets = -inner.offsets[::-1]
-        return SecularSolution(
-            lambda_old=lam, z=z, rho=rho, origins=origins, offsets=offsets,
-        )
 
     zeta = rho * z * z
     origins, tau = _solve_roots(lam, zeta)

@@ -90,6 +90,10 @@ class TestFactorizeCmd:
             ("short_leaf", "malformed plan"),
             ("version", "plan version 99"),
             ("cut_bytes", "not valid JSON"),
+            ("short_edge", "malformed plan"),
+            ("unknown_owner", "children of node 999"),
+            ("forest", "not one binary tree"),
+            ("misnumbered", "has id"),
         ],
     )
     def test_bad_plan_file_exit_two(self, tmp_path, capsys, damage, message):
@@ -107,6 +111,15 @@ class TestFactorizeCmd:
             data["leaves"][0] = data["leaves"][0][:-1]
         elif damage == "version":
             data["version"] = 99
+        elif damage == "short_edge":
+            edges = next(iter(data["interfaces"].values()))
+            edges[0] = edges[0][:2]
+        elif damage == "unknown_owner":
+            data["interfaces"]["999"] = data["interfaces"].pop(str(len(data["tree"]) - 1))
+        elif damage == "forest":
+            data["tree"].pop()  # the root goes; its two subtrees stay
+        elif damage == "misnumbered":
+            data["tree"][0]["id"], data["tree"][1]["id"] = 1, 0
         plan_path.write_text(text[: len(text) // 2] if damage == "cut_bytes"
                              else json.dumps(data))
         capsys.readouterr()
@@ -248,6 +261,15 @@ class TestFilterCmd:
             data["plan_hash"] = "0" * 16
         elif damage == "version":
             data["version"] = 99
+        elif damage == "short_edge":
+            edges = next(iter(data["interfaces"].values()))
+            edges[0] = edges[0][:2]
+        elif damage == "unknown_owner":
+            data["interfaces"]["999"] = data["interfaces"].pop(str(len(data["tree"]) - 1))
+        elif damage == "forest":
+            data["tree"].pop()  # the root goes; its two subtrees stay
+        elif damage == "misnumbered":
+            data["tree"][0]["id"], data["tree"][1]["id"] = 1, 0
         elif damage == "short_zhat":
             factor["zhat"] = factor["zhat"][:-1]
         elif damage == "perm_length":

@@ -243,7 +243,7 @@ class TestStructure:
         shuffled = dict(plan.interfaces)
         shuffled[root] = list(reversed(shuffled[root]))
         plan2 = MergePlan(
-            n=plan.n, leaves=plan.leaves, nodes=plan.nodes, interfaces=shuffled
+            n=plan.n, leaves=plan.leaves, tree=plan.tree, interfaces=shuffled
         )
         f2 = factorize(g, plan2)
         assert np.max(np.abs(np.sort(f1.lambda_final) - np.sort(f2.lambda_final))) <= 1e-8
@@ -431,7 +431,7 @@ class TestRecordOperators:
         assert all(rec.stop - rec.start <= _DENSE_CACHE_MAX for rec in f.history)
         x = np.random.default_rng(6).standard_normal((f.n, 3))
         cfg = FilterLayerConfig(
-            node_filters={nd.id: heat_filter(0.3) for nd in f.plan.nodes[::3]}
+            node_filters={nd.id: heat_filter(0.3) for nd in f.plan.tree[::3]}
         )
         want = {
             "forward": walk_forward(f, x),

@@ -76,13 +76,18 @@ class TestBanks:
             eval_bank(bank, np.array([-0.01]))
         eval_bank(bank, np.array([1.0 + 5e-7]))  # inside the declared slack
 
-    def test_bank_config_round_trip(self, tmp_path):
-        bank = FilterBank.rbf(num_basis=4, normalize=True, lambda_max=2.0)
-        path = tmp_path / "bank.json"
-        bank.save(str(path))
-        back = FilterBank.load(str(path))
+    def test_readme_bank_config_reads_as_rbf(self):
+        # the README's bank config form, read the way the CLI reads it
+        coeff = [[1.0, 0.5, 0.0, 2.0], [0.0, 1.0, 1.0, 0.0]]
+        data = {"kind": "rbf", "K": 4, "coefficients": coeff, "normalize": True,
+                "lambda_max": 2.0}
+        bank = FilterBank.rbf(
+            num_basis=4, coefficients=np.array(coeff), normalize=True, lambda_max=2.0
+        )
         grid = np.linspace(0.0, 2.0, 100)
-        assert np.array_equal(eval_bank(bank, grid), eval_bank(back, grid))
+        expected = eval_bank(bank, grid)
+        assert expected.shape == (100, 2)
+        assert np.array_equal(eval_bank(FilterBank.from_dict(data), grid), expected)
 
 
 class TestHierarchicalMix:
@@ -113,7 +118,7 @@ class TestHierarchicalMix:
         bank = FilterBank.rbf(num_basis=3, coefficients=rng.uniform(0, 2, (1, 3)))
         gains = []
         cfg_filters = {}
-        for nd in f.plan.nodes:
+        for nd in f.plan.tree:
             cfg_filters[nd.id] = BankFilter(bank)
             lam = f.level_lambdas[nd.id]
             lam_max = float(lam[-1]) if lam[-1] > 0 else 1.0
@@ -121,7 +126,7 @@ class TestHierarchicalMix:
         cfg = FilterLayerConfig(node_filters=cfg_filters)
         x = rng.standard_normal((g.n, 4))
         y = hierarchical_mix(f, cfg, x)
-        bound = np.prod(np.sort(gains)[-len(f.plan.nodes) :])
+        bound = np.prod(np.sort(gains)[-len(f.plan.tree) :])
         # per-column: every diagonal stage multiplies the norm by <= max |g|
         total_gain = np.prod([g_ for g_ in gains])
         assert np.all(

@@ -128,9 +128,9 @@ class TestBuildPlan:
             plan = build_plan(g, cost=cost, seed=seed).plan
 
             def modeled(nid):
-                nd = plan.nodes[nid]
+                nd = plan.tree[nid]
                 if nd.children is None:
-                    return cost.eig(len(plan.leaves[nd.leaf_index]))
+                    return cost.eig(len(plan.leaves[nd.leaf]))
                 s0, s1 = plan.ranges[nid]
                 k = len(plan.interfaces.get(nid, ()))
                 return cost.merge(s1 - s0, k) + max(

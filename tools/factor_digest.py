@@ -7,7 +7,9 @@ the sha256 of `lambda_final`, of the leaf bases, of `level_lambdas` and of
 every step's arrays (affected, origins, offsets, lambda_old, zhat, column
 norms and signs, perm, dropped and rotated indices, reflectors). Each line
 also carries the plan's `content_hash()`, which covers the sampled bridge
-weights, so a change in the resistance sketch shows where its output lands.
+weights, so a change in the resistance sketch shows where its output lands,
+and `plan_json`, the sha256 of `json.dumps(plan.to_dict())`: the text
+`MergePlan.save` writes, whose key order `content_hash` (keys sorted) misses.
 Two checkouts whose lines match produced the same plans and factors bit for
 bit.
 
@@ -91,6 +93,8 @@ def main(argv: list[str] | None = None) -> int:
                 fact = factorize(res.graph, res.plan)
                 line = {"workload": name, "seed": seed, "graph_seed": s,
                         "plan_hash": res.plan.content_hash(),
+                        "plan_json": hashlib.sha256(
+                            json.dumps(res.plan.to_dict()).encode()).hexdigest(),
                         "step_count": sum(len(r.steps) for r in fact.history),
                         **digests(fact)}
                 print(json.dumps(line), flush=True)
