@@ -54,11 +54,9 @@ from .sparsify import (
     verify_spectral_bound,
 )
 from .filters import (
-    BankFilter,
     CallableFilter,
     FilterBank,
     FilterLayerConfig,
-    UnitFilter,
     apply_layer,
     eval_bank,
     euler_step,

@@ -5,7 +5,8 @@ walking its type hints: nested dataclasses, ``list[X]``, ``tuple[X, ...]``,
 fixed tuples such as ``tuple[int, int, float]`` (read element by element,
 so a weight written as ``1`` loads as ``1.0``), ``dict[K, V]``, ``X | None``
 in either spelling (``typing.Union`` or ``types.UnionType``) and arrays,
-whose dtype each field declares once as ``F64`` or ``I64``. A type with its
+whose dtype each field declares once as ``F64`` or ``I64`` (an ``F64``
+holding NaN or inf is refused with ValueError). A type with its
 own ``to_dict``/``from_dict`` goes through them: the merge plan and the
 transform wrap the fields in a ``"version"`` key, and the plan's content
 hash is taken over that text.
@@ -62,7 +63,10 @@ def to_json(value):
 def from_json(hint, data):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
-        return np.asarray(data, dtype=args[1])
+        arr = np.asarray(data, dtype=args[1])
+        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+            raise ValueError("a float array holds NaN or inf")
+        return arr
     if origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in args if a is not type(None)]
         return None if data is None else from_json(inner, data)

@@ -209,10 +209,11 @@ class FactorizedGft:
     def from_dict(cls, data: dict) -> FactorizedGft:
         """Rebuild a saved transform; PlanMismatch if the data is not one.
 
-        The version must be GFT_VERSION, the stored plan hash must match
-        the stored plan and every array must have the shape and index range
-        that plan implies; a missing or mistyped field is reported the same
-        way.
+        The version must be GFT_VERSION, the kind a Laplacian kind, the
+        stored plan hash must match the stored plan and every array must
+        have the shape and index range that plan implies; a missing or
+        mistyped field, or a float array holding NaN or inf, is reported
+        the same way.
         """
         try:
             version = data["version"]
@@ -221,6 +222,8 @@ class FactorizedGft:
                     f"transform file version {version!r}, expected {GFT_VERSION}"
                 )
             fact = fields_from_dict(cls, data)
+            if fact.kind not in (COMBINATORIAL, NORMALIZED):
+                raise PlanMismatch(f"transform file kind {fact.kind!r} is not a Laplacian kind")
             if fact.plan_hash != fact.plan.content_hash():
                 raise PlanMismatch("transform file plan_hash does not match its plan")
             fact._check_shapes()

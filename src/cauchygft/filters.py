@@ -1,15 +1,19 @@
 """Spectral filter banks and forward-only filtering through the factorization.
 
-Banks parameterize responses on a normalized eigenvalue axis with cubic
-B-splines or unit-height Gaussians; a normalized bank's filters sum to one
-at every spectral location. The layer evaluates local filters on each tree
-node's eigenvalues while mixing spectral blocks through the stored Cauchy
-factors, then synthesizes back through the inverse transform. No training
-happens here; coefficients and centers are plain configuration.
+A spectral filter is a callable that takes a tree node's eigenvalues
+(ascending) and returns one response per eigenvalue. Banks parameterize
+responses on a normalized eigenvalue axis with cubic B-splines or
+unit-height Gaussians; a normalized bank's filters sum to one at every
+spectral location. The layer evaluates local filters on each tree node's
+eigenvalues while mixing spectral blocks through the stored Cauchy factors,
+then synthesizes back through the inverse transform. No training happens
+here; coefficients and centers are plain configuration, read from JSON by
+parse_filter_config.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,36 +23,17 @@ from .factorization import FactorizedGft
 
 _DOMAIN_SLACK = 1e-6
 
-
-def bspline_knots(num_basis: int, degree: int) -> np.ndarray:
-    """Clamped uniform knot vector on [0, 1] for num_basis functions."""
-    inner = np.linspace(0.0, 1.0, num_basis - degree + 1)[1:-1]
-    return np.concatenate(
-        [np.zeros(degree + 1), inner, np.ones(degree + 1)]
-    )
+Filter = Callable[[np.ndarray], np.ndarray]
 
 
 def bspline_design(x: np.ndarray, num_basis: int, degree: int) -> np.ndarray:
-    """Cox-de Boor evaluation of all basis functions; rows sum to one on [0,1]."""
-    t = bspline_knots(num_basis, degree)
-    x = np.asarray(x, dtype=np.float64)
-    m = len(t) - 1
-    b = np.zeros((x.size, m))
-    for i in range(m):
-        if t[i] < t[i + 1]:
-            b[:, i] = (x >= t[i]) & (x < t[i + 1])
-    b[x >= t[-1], np.max(np.flatnonzero(np.diff(t) > 0))] = 1.0
-    for d in range(1, degree + 1):
-        nb = np.zeros((x.size, m - d))
-        for i in range(m - d):
-            left = t[i + d] - t[i]
-            if left > 0:
-                nb[:, i] += (x - t[i]) / left * b[:, i]
-            right = t[i + d + 1] - t[i + 1]
-            if right > 0:
-                nb[:, i] += (t[i + d + 1] - x) / right * b[:, i + 1]
-        b = nb
-    return b[:, :num_basis]
+    """Clamped uniform B-splines on [0, 1] at x, one column each; rows sum to one."""
+    # scipy.interpolate adds ~18 MB and ~0.3 s to an import; only splines need it
+    from scipy.interpolate import BSpline
+
+    inner = np.linspace(0.0, 1.0, num_basis - degree + 1)[1:-1]
+    t = np.concatenate([np.zeros(degree + 1), inner, np.ones(degree + 1)])
+    return BSpline.design_matrix(np.asarray(x, dtype=np.float64), t, degree).toarray()
 
 
 @dataclass(eq=False)
@@ -58,37 +43,44 @@ class FilterBank:
     coefficients has one row per filter; evaluation is B(x) @ coefficients.T.
     With normalize=True the filters sum to one across the bank for every
     eigenvalue in the domain (coefficient columns renormalized for splines,
-    pointwise response normalization for RBFs).
+    pointwise response normalization for RBFs). Unset coefficients are the
+    identity, unset RBF centers and widths follow an even grid on [0, 1].
     """
 
     kind: str
     num_basis: int
-    coefficients: np.ndarray
-    centers: np.ndarray
+    coefficients: np.ndarray | None = None
+    centers: np.ndarray | None = None
     widths: np.ndarray | None = None
     degree: int = 3
     normalize: bool = False
     lambda_max: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("spline", "rbf"):
+        k = self.num_basis
+        if self.kind == "spline":
+            self.degree = min(self.degree, k - 1)
+        elif self.kind == "rbf":
+            if self.centers is None:
+                self.centers = np.linspace(0.0, 1.0, k) if k > 1 else np.array([0.5])
+            if self.widths is None:
+                self.widths = np.full(k, 1.0 / (k - 1) if k > 1 else 1.0)
+            self.centers = np.asarray(self.centers, dtype=np.float64)
+            self.widths = np.asarray(self.widths, dtype=np.float64)
+        else:
             raise InvalidParams(f"unknown bank kind {self.kind!r}")
+        if self.coefficients is None:
+            self.coefficients = np.eye(k)
         self.coefficients = np.atleast_2d(
             np.asarray(self.coefficients, dtype=np.float64)
         )
-        if self.coefficients.shape[1] != self.num_basis:
+        if self.coefficients.shape[1] != k:
             raise InvalidParams("coefficient columns must match num_basis")
-        if self.kind == "spline":
-            self.degree = min(self.degree, self.num_basis - 1)
-            if self.normalize:
-                colsum = self.coefficients.sum(axis=0)
-                if np.any(np.abs(colsum) < 1e-12):
-                    raise InvalidParams("cannot normalize zero coefficient columns")
-                self.coefficients = self.coefficients / colsum[None, :]
-
-    @property
-    def num_filters(self) -> int:
-        return self.coefficients.shape[0]
+        if self.kind == "spline" and self.normalize:
+            colsum = self.coefficients.sum(axis=0)
+            if np.any(np.abs(colsum) < 1e-12):
+                raise InvalidParams("cannot normalize zero coefficient columns")
+            self.coefficients = self.coefficients / colsum[None, :]
 
     @classmethod
     def spline(
@@ -99,23 +91,8 @@ class FilterBank:
         normalize: bool = False,
         lambda_max: float = 1.0,
     ) -> FilterBank:
-        if coefficients is None:
-            coefficients = np.eye(num_basis)
-        degree = min(degree, num_basis - 1)
-        # Greville abscissae serve as nominal centers of the spline basis
-        t = bspline_knots(num_basis, degree)
-        centers = np.array(
-            [t[i + 1 : i + degree + 1].mean() if degree else t[i] for i in range(num_basis)]
-        )
-        return cls(
-            kind="spline",
-            num_basis=num_basis,
-            coefficients=coefficients,
-            centers=centers,
-            degree=degree,
-            normalize=normalize,
-            lambda_max=lambda_max,
-        )
+        return cls("spline", num_basis, coefficients, degree=degree,
+                   normalize=normalize, lambda_max=lambda_max)
 
     @classmethod
     def rbf(
@@ -127,57 +104,25 @@ class FilterBank:
         normalize: bool = False,
         lambda_max: float = 1.0,
     ) -> FilterBank:
-        if centers is None:
-            centers = np.linspace(0.0, 1.0, num_basis) if num_basis > 1 else np.array([0.5])
-        centers = np.asarray(centers, dtype=np.float64)
-        if widths is None:
-            spacing = 1.0 / (num_basis - 1) if num_basis > 1 else 1.0
-            widths = np.full(num_basis, spacing)
-        widths = np.asarray(widths, dtype=np.float64)
-        if coefficients is None:
-            coefficients = np.eye(num_basis)
-        return cls(
-            kind="rbf",
-            num_basis=num_basis,
-            coefficients=coefficients,
-            centers=centers,
-            widths=widths,
-            normalize=normalize,
-            lambda_max=lambda_max,
-        )
+        return cls("rbf", num_basis, coefficients, centers, widths,
+                   normalize=normalize, lambda_max=lambda_max)
 
-    def basis_matrix(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "spline":
-            return bspline_design(x, self.num_basis, self.degree)
-        diff = x[:, None] - self.centers[None, :]
-        return np.exp(-0.5 * (diff / self.widths[None, :]) ** 2)
+    def filter(self, index: int) -> CallableFilter:
+        """Filter `index` of the bank as a function of a node's eigenvalues.
 
-    # -- config file form ----------------------------------------------------
+        A bank on the normalized axis (lambda_max == 1.0) sees each node's
+        eigenvalues divided by the largest of them, when that is positive.
+        """
+        count = self.coefficients.shape[0]
+        if not 0 <= index < count:
+            raise InvalidParams(f"bank has {count} filters, not {index}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> FilterBank:
-        kind = data["kind"]
-        coeff = np.asarray(data["coefficients"], dtype=np.float64)
-        if kind == "spline":
-            return cls.spline(
-                num_basis=data["K"],
-                coefficients=coeff,
-                degree=data.get("degree", 3),
-                normalize=data.get("normalize", False),
-                lambda_max=data.get("lambda_max", 1.0),
-            )
-        return cls.rbf(
-            num_basis=data["K"],
-            centers=np.asarray(data["centers"], dtype=np.float64)
-            if data.get("centers") is not None
-            else None,
-            widths=np.asarray(data["widths"], dtype=np.float64)
-            if data.get("widths") is not None
-            else None,
-            coefficients=coeff,
-            normalize=data.get("normalize", False),
-            lambda_max=data.get("lambda_max", 1.0),
-        )
+        def response(lam: np.ndarray) -> np.ndarray:
+            if self.lambda_max == 1.0 and lam.size and lam[-1] > 0:
+                lam = lam / lam[-1]
+            return eval_bank(self, lam)[:, index]
+
+        return CallableFilter(response)
 
 
 def eval_bank(bank: FilterBank, lambdas: np.ndarray) -> np.ndarray:
@@ -189,7 +134,11 @@ def eval_bank(bank: FilterBank, lambdas: np.ndarray) -> np.ndarray:
             f"eigenvalues outside [0, {top}] beyond the {_DOMAIN_SLACK} slack"
         )
     x = np.clip(lam / top if top > 0 else lam, 0.0, 1.0)
-    resp = bank.basis_matrix(x) @ bank.coefficients.T
+    if bank.kind == "spline":
+        basis = bspline_design(x, bank.num_basis, bank.degree)
+    else:
+        basis = np.exp(-0.5 * ((x[:, None] - bank.centers) / bank.widths) ** 2)
+    resp = basis @ bank.coefficients.T
     if bank.normalize and bank.kind == "rbf":
         total = resp.sum(axis=1, keepdims=True)
         if np.any(np.abs(total) < 1e-300):
@@ -198,47 +147,13 @@ def eval_bank(bank: FilterBank, lambdas: np.ndarray) -> np.ndarray:
     return resp
 
 
-# ---------------------------------------------------------------------------
-# spectral filters usable inside the layer
-
-
-class SpectralFilter:
-    """Diagonal spectral multiplier; subclasses pick raw or normalized axis."""
-
-    def values(self, lam: np.ndarray, lam_max: float) -> np.ndarray:
-        raise NotImplementedError
-
-
-class UnitFilter(SpectralFilter):
-    def values(self, lam, lam_max):
-        return np.ones_like(np.asarray(lam, dtype=np.float64))
-
-
-class BankFilter(SpectralFilter):
-    """One response from a bank, evaluated on the normalized spectrum."""
-
-    def __init__(self, bank: FilterBank, index: int = 0):
-        if not 0 <= index < bank.num_filters:
-            raise InvalidParams(f"bank has {bank.num_filters} filters, not {index}")
-        self.bank = bank
-        self.index = index
-
-    def values(self, lam, lam_max):
-        lam = np.asarray(lam, dtype=np.float64)
-        if self.bank.lambda_max == 1.0 and lam_max > 0:
-            scaled = lam / lam_max
-        else:
-            scaled = lam
-        return eval_bank(self.bank, scaled)[:, self.index]
-
-
-class CallableFilter(SpectralFilter):
-    """Arbitrary response g(lambda) on the raw eigenvalue axis."""
+class CallableFilter:
+    """Response g(lambda) on the raw eigenvalue axis, as a filter."""
 
     def __init__(self, fn):
         self.fn = fn
 
-    def values(self, lam, lam_max):
+    def __call__(self, lam: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(np.asarray(lam, dtype=np.float64)))
 
 
@@ -255,8 +170,8 @@ def heat_filter(t: float) -> CallableFilter:
 class FilterLayerConfig:
     """Global response plus one local response per tree node (r, p)."""
 
-    global_filter: SpectralFilter = field(default_factory=UnitFilter)
-    node_filters: dict[int, SpectralFilter] = field(default_factory=dict)
+    global_filter: Filter = np.ones_like
+    node_filters: dict[int, Filter] = field(default_factory=dict)
 
     def validate(self, f: FactorizedGft) -> None:
         known = set(f.plan.ranges)
@@ -265,13 +180,62 @@ class FilterLayerConfig:
             raise ConfigMismatch(f"filters reference unknown tree nodes {sorted(bad)}")
 
 
-def _node_multiplier(cfg, f, nid) -> np.ndarray | None:
-    filt = cfg.node_filters.get(nid)
-    if filt is None:
-        return None
-    lam = f.level_lambdas[nid]
-    lam_max = float(lam[-1]) if lam.size and lam[-1] > 0 else 1.0
-    return filt.values(lam, lam_max)
+def parse_filter_config(data) -> FilterLayerConfig:
+    """A filter layer from its JSON config; ConfigMismatch names a bad field.
+
+    The config is one filter, used as the global response, or
+    {"global": filter, "nodes": {"<tree node id>": filter, ...}}. A filter
+    is {"kind": "unit"}, {"kind": "heat", "t": 1.0}, {"kind": "poly",
+    "coefficients": [...]} or a bank {"kind": "spline" | "rbf", "K": ...,
+    "coefficients": [...]} with optional FilterBank fields ("degree",
+    "normalize", "lambda_max", "centers", "widths") and "filter_index".
+    """
+    if not (isinstance(data, dict) and ("global" in data or "nodes" in data)):
+        return FilterLayerConfig(global_filter=_parse_filter(data, "filter config"))
+    nodes = data.get("nodes", {})
+    if not isinstance(nodes, dict):
+        raise ConfigMismatch(
+            f"filter config field 'nodes' must map node ids to filters, "
+            f"not be a {type(nodes).__name__}"
+        )
+    return FilterLayerConfig(
+        global_filter=_parse_filter(
+            data.get("global", {"kind": "unit"}), "global filter config"
+        ),
+        node_filters={
+            int(nid): _parse_filter(spec, f"filter config of node {nid}")
+            for nid, spec in nodes.items()
+        },
+    )
+
+
+def _parse_filter(data, where: str) -> Filter:
+    if not isinstance(data, dict):
+        raise ConfigMismatch(f"{where} must be a JSON object, not {type(data).__name__}")
+    try:
+        kind = data["kind"]
+        if kind == "poly":
+            return poly_filter(data["coefficients"])
+        if kind == "heat":
+            return heat_filter(float(data.get("t", 1.0)))
+        if kind == "unit":
+            return np.ones_like
+        if kind not in ("spline", "rbf"):
+            raise ConfigMismatch(
+                f"{where} field 'kind' is {kind!r}, not poly, heat, unit, spline or rbf"
+            )
+        options = ("centers", "widths", "degree", "normalize", "lambda_max")
+        bank = FilterBank(
+            kind,
+            coefficients=data["coefficients"],
+            num_basis=data["K"],
+            **{k: data[k] for k in options if data.get(k) is not None},
+        )
+        return bank.filter(data.get("filter_index", 0))
+    except KeyError as exc:
+        raise ConfigMismatch(f"{where} has no field {exc.args[0]!r}") from exc
+    except (TypeError, AttributeError) as exc:
+        raise ConfigMismatch(f"malformed {where} ({type(exc).__name__}: {exc})") from exc
 
 
 def hierarchical_mix(
@@ -285,7 +249,7 @@ def hierarchical_mix(
     """
     cfg.validate(f)
     arr, vec = f._check_rows(x)
-    scales = {nid: _node_multiplier(cfg, f, nid) for nid in cfg.node_filters}
+    scales = {nid: filt(f.level_lambdas[nid]) for nid, filt in cfg.node_filters.items()}
     y = f._walk_forward(arr, scales)
     return y[:, 0] if vec else y
 
@@ -300,10 +264,7 @@ def apply_layer(
     """
     arr, vec = f._check_rows(x)
     spec = hierarchical_mix(f, cfg, arr)
-    lam = f.lambda_final
-    lam_max = float(lam[-1]) if lam.size and lam[-1] > 0 else 1.0
-    g = cfg.global_filter.values(lam, lam_max)
-    out = f.inverse(g[:, None] * spec)
+    out = f.inverse(cfg.global_filter(f.lambda_final)[:, None] * spec)
     return out[:, 0] if vec else out
 
 

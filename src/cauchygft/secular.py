@@ -58,8 +58,10 @@ def default_tolerances(
     lam: np.ndarray, z: np.ndarray, rho: float
 ) -> tuple[float, float]:
     """Deflation thresholds: 8 eps * (|z| sqrt(rho) + diam) and 8 eps * diam."""
+    if not rho > 0.0:
+        raise InvalidParams(f"rho must be positive, got {rho}")
     diam = float(lam[-1] - lam[0]) if lam.size else 0.0
-    zn = float(np.linalg.norm(z)) * np.sqrt(abs(rho))
+    zn = float(np.linalg.norm(z)) * np.sqrt(rho)
     tol_z = 8.0 * _EPS * (zn + diam) + _TINY
     tol_lambda = 8.0 * _EPS * diam
     return tol_z, tol_lambda

@@ -248,6 +248,8 @@ class TestFilterCmd:
             ("text_zhat", "malformed transform file"),
             ("short_level_lambdas", "level_lambdas"),
             ("origin_index", "origins has an index outside"),
+            ("nan_zhat", "NaN or inf"),
+            ("bogus_kind", "kind 'bogus'"),
         ],
     )
     def test_bad_transform_file_exit_two(self, tmp_path, p3_file, capsys, damage, message):
@@ -282,6 +284,10 @@ class TestFilterCmd:
             data["level_lambdas"][node] = data["level_lambdas"][node][:-1]
         elif damage == "origin_index":
             factor["solution"]["origins"][0] = 999
+        elif damage == "nan_zhat":
+            factor["zhat"][0] = float("nan")
+        elif damage == "bogus_kind":
+            data["kind"] = "bogus"
         if damage == "cut_bytes":
             fpath.write_text(text[: len(text) // 2])
         else:

@@ -1,0 +1,46 @@
+"""tools/factor_digest.py: equal factors give equal digests, one ulp shows."""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from cauchygft.factorization import factorize
+from cauchygft.graph import barabasi_albert
+from cauchygft.plan import plan_from_leaves
+
+TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "tools", "factor_digest.py")
+
+
+@pytest.fixture(scope="module")
+def factor_digest():
+    spec = importlib.util.spec_from_file_location("factor_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def small_transform():
+    g = barabasi_albert(60, 2, seed=11)
+    return factorize(g, plan_from_leaves(g, [list(range(30)), list(range(30, 60))]))
+
+
+def test_two_factorizations_of_one_plan_digest_equal(factor_digest):
+    a, b = factor_digest.digests(small_transform()), factor_digest.digests(small_transform())
+    assert set(a) == {"lambda_final", "leaf_bases", "level_lambdas", "steps", "all"}
+    assert a == b
+
+
+def test_one_ulp_of_one_zhat_moves_steps_only(factor_digest):
+    fact = small_transform()
+    before = factor_digest.digests(fact)
+    zhat = next(st.factor.zhat for rec in fact.history for st in rec.steps
+                if st.factor.zhat.size)
+    zhat[0] = np.nextafter(zhat[0], np.inf)
+    after = factor_digest.digests(fact)
+    assert after["steps"] != before["steps"]
+    assert after["all"] != before["all"]
+    for part in ("lambda_final", "leaf_bases", "level_lambdas"):
+        assert after[part] == before[part]

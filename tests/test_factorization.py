@@ -12,7 +12,6 @@ from cauchygft.errors import DimensionMismatch, PlanMismatch, TooLarge
 from cauchygft.factorization import FactorizedGft, MergeRecord, MergeStep, factorize
 from cauchygft.filters import (
     FilterLayerConfig,
-    _node_multiplier,
     heat_filter,
     hierarchical_mix,
 )
@@ -367,6 +366,33 @@ class TestSerialization:
         with pytest.raises(PlanMismatch, match="version 1"):
             FactorizedGft.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            ("nan_zhat", "NaN or inf"),
+            ("inf_lambda_final", "NaN or inf"),
+            ("nan_leaf_basis", "NaN or inf"),
+            ("inf_reflector", "NaN or inf"),
+            ("bogus_kind", "kind 'bogus' is not a Laplacian kind"),
+        ],
+    )
+    def test_nonfinite_array_or_unknown_kind_refused(self, damage, message):
+        data = json.loads(json.dumps(self.deflating_transform().to_dict()))
+        factors = [st["factor"] for rec in data["history"] for st in rec["steps"]]
+        if damage == "nan_zhat":
+            next(fc for fc in factors if fc["zhat"])["zhat"][0] = math.nan
+        elif damage == "inf_lambda_final":
+            data["lambda_final"][-1] = math.inf
+        elif damage == "nan_leaf_basis":
+            data["leaf_bases"][1][0][0] = math.nan
+        elif damage == "inf_reflector":
+            blocks = [b for fc in factors for b in fc["deflation"]["householder_blocks"]]
+            blocks[0]["reflector"][0] = -math.inf
+        elif damage == "bogus_kind":
+            data["kind"] = "bogus"
+        with pytest.raises(PlanMismatch, match=message):
+            FactorizedGft.from_dict(data)
+
     @pytest.mark.parametrize("text", ["", "{\"version\": 2, \"plan\"", "not json"])
     def test_unreadable_file_raises_plan_mismatch(self, tmp_path, text):
         path = tmp_path / "f.json"
@@ -388,18 +414,16 @@ def walk_forward(f, x, cfg=None):
         nid = f.plan.leaf_node_id[i]
         s0, s1 = f.plan.ranges[nid]
         y[s0:s1] = basis.T @ y[s0:s1]
-        mult = None if cfg is None else _node_multiplier(cfg, f, nid)
-        if mult is not None:
-            y[s0:s1] *= mult[:, None]
+        if cfg is not None and nid in cfg.node_filters:
+            y[s0:s1] *= cfg.node_filters[nid](f.level_lambdas[nid])[:, None]
     for rec in f.history:
         view = y[rec.start : rec.stop]
         if rec.concat_perm is not None:
             view[:] = view[rec.concat_perm]
         for step in rec.steps:
             step.apply_forward(view)
-        mult = None if cfg is None else _node_multiplier(cfg, f, rec.node_id)
-        if mult is not None:
-            view *= mult[:, None]
+        if cfg is not None and rec.node_id in cfg.node_filters:
+            view *= cfg.node_filters[rec.node_id](f.level_lambdas[rec.node_id])[:, None]
     return y
 
 

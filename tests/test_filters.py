@@ -2,20 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cauchygft.errors import ConfigMismatch, DomainError
+from cauchygft.errors import ConfigMismatch, DomainError, InvalidParams
 from cauchygft.factorization import factorize
 from cauchygft.filters import (
-    BankFilter,
     CallableFilter,
     FilterBank,
     FilterLayerConfig,
-    UnitFilter,
     apply_layer,
     bspline_design,
     eval_bank,
     euler_step,
     heat_filter,
     hierarchical_mix,
+    parse_filter_config,
     poly_filter,
 )
 from cauchygft.graph import Graph, barabasi_albert, build_laplacian
@@ -34,6 +33,21 @@ def ba_factorization(n=100, seed=3, m=2):
     half = n // 2
     plan = plan_from_leaves(g, [list(range(half)), list(range(half, n))])
     return g, factorize(g, plan)
+
+
+def cox_de_boor(x, t, i, degree):
+    """B-spline i of `degree` on knots t at x; the last span is closed at t[-1]."""
+    if degree == 0:
+        if t[i] <= x < t[i + 1]:
+            return 1.0
+        return float(x == t[-1] and t[i] < t[i + 1] == t[-1])
+    value = 0.0
+    if t[i + degree] > t[i]:
+        value += (x - t[i]) / (t[i + degree] - t[i]) * cox_de_boor(x, t, i, degree - 1)
+    if t[i + degree + 1] > t[i + 1]:
+        value += ((t[i + degree + 1] - x) / (t[i + degree + 1] - t[i + 1])
+                  * cox_de_boor(x, t, i + 1, degree - 1))
+    return value
 
 
 class TestBanks:
@@ -68,6 +82,19 @@ class TestBanks:
         expect = np.stack([(1 - x) ** 2, 2 * x * (1 - x), x**2], axis=1)
         assert np.max(np.abs(b - expect)) <= 1e-14
 
+    def test_bspline_design_matches_cox_de_boor(self):
+        # SciPy's basis against the textbook recursion, knots and ends included
+        for k in range(1, 12):
+            for degree in range(min(k, 4)):
+                inner = np.linspace(0.0, 1.0, k - degree + 1)[1:-1]
+                t = np.concatenate([np.zeros(degree + 1), inner, np.ones(degree + 1)])
+                x = np.unique(np.concatenate([np.linspace(0.0, 1.0, 41), t]))
+                want = np.array([[cox_de_boor(xv, t, i, degree) for i in range(k)]
+                                 for xv in x])
+                got = bspline_design(x, k, degree)
+                assert got.shape == (x.size, k)
+                assert np.max(np.abs(got - want)) <= 8 * np.finfo(np.float64).eps
+
     def test_domain_error(self):
         bank = FilterBank.spline(num_basis=3)
         with pytest.raises(DomainError):
@@ -80,14 +107,43 @@ class TestBanks:
         # the README's bank config form, read the way the CLI reads it
         coeff = [[1.0, 0.5, 0.0, 2.0], [0.0, 1.0, 1.0, 0.0]]
         data = {"kind": "rbf", "K": 4, "coefficients": coeff, "normalize": True,
-                "lambda_max": 2.0}
+                "lambda_max": 2.0, "filter_index": 1}
         bank = FilterBank.rbf(
             num_basis=4, coefficients=np.array(coeff), normalize=True, lambda_max=2.0
         )
         grid = np.linspace(0.0, 2.0, 100)
         expected = eval_bank(bank, grid)
         assert expected.shape == (100, 2)
-        assert np.array_equal(eval_bank(FilterBank.from_dict(data), grid), expected)
+        cfg = parse_filter_config(data)
+        assert cfg.node_filters == {}
+        assert np.array_equal(cfg.global_filter(grid), expected[:, 1])
+
+    def test_bank_filter_scales_by_the_top_eigenvalue(self):
+        # a bank on the normalized axis sees lam / lam[-1]; one with its own
+        # lambda_max sees the raw eigenvalues
+        lam = np.array([0.0, 0.7, 1.9, 3.5])
+        unit = FilterBank.spline(num_basis=5, coefficients=np.arange(10.0).reshape(2, 5))
+        raw = FilterBank.spline(num_basis=5, lambda_max=4.0)
+        assert np.array_equal(unit.filter(1)(lam), eval_bank(unit, lam / 3.5)[:, 1])
+        assert np.array_equal(raw.filter(2)(lam), eval_bank(raw, lam)[:, 2])
+        zero = np.zeros(3)
+        assert np.array_equal(unit.filter(0)(zero), eval_bank(unit, zero)[:, 0])
+        with pytest.raises(InvalidParams, match="bank has 2 filters, not 2"):
+            unit.filter(2)
+
+    def test_both_config_forms_read_in_one_place(self):
+        lam = np.linspace(0.0, 2.0, 9)
+        single = parse_filter_config({"kind": "heat", "t": 0.5})
+        assert np.array_equal(single.global_filter(lam), np.exp(-0.5 * lam))
+        assert single.node_filters == {}
+        layered = parse_filter_config(
+            {"nodes": {"3": {"kind": "poly", "coefficients": [1.0, 2.0]}}}
+        )
+        assert np.array_equal(layered.global_filter(lam), np.ones_like(lam))
+        assert list(layered.node_filters) == [3]
+        assert np.array_equal(layered.node_filters[3](lam), 1.0 + 2.0 * lam)
+        with pytest.raises(ConfigMismatch, match="global filter config has no field 'kind'"):
+            parse_filter_config({"global": {}})
 
 
 class TestHierarchicalMix:
@@ -119,10 +175,8 @@ class TestHierarchicalMix:
         gains = []
         cfg_filters = {}
         for nd in f.plan.tree:
-            cfg_filters[nd.id] = BankFilter(bank)
-            lam = f.level_lambdas[nd.id]
-            lam_max = float(lam[-1]) if lam[-1] > 0 else 1.0
-            gains.append(np.max(np.abs(BankFilter(bank).values(lam, lam_max))))
+            cfg_filters[nd.id] = bank.filter(0)
+            gains.append(np.max(np.abs(bank.filter(0)(f.level_lambdas[nd.id]))))
         cfg = FilterLayerConfig(node_filters=cfg_filters)
         x = rng.standard_normal((g.n, 4))
         y = hierarchical_mix(f, cfg, x)
@@ -136,7 +190,7 @@ class TestHierarchicalMix:
 
     def test_config_mismatch(self):
         _, f = ba_factorization()
-        cfg = FilterLayerConfig(node_filters={999: UnitFilter()})
+        cfg = FilterLayerConfig(node_filters={999: np.ones_like})
         with pytest.raises(ConfigMismatch):
             hierarchical_mix(f, cfg, np.zeros(f.n))
 

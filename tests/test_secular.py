@@ -158,6 +158,12 @@ class TestSolveSecular:
                 solve_secular(lam, z, rho)
             with pytest.raises(InvalidParams, match="rho must be positive"):
                 solve_secular(np.zeros(0), np.zeros(0), rho)
+            with pytest.raises(InvalidParams, match="rho must be positive"):
+                deflate(lam, z, rho)
+            with pytest.raises(InvalidParams, match="rho must be positive"):
+                deflate(np.zeros(0), np.zeros(0), rho)
+            with pytest.raises(InvalidParams, match="rho must be positive"):
+                secular.default_tolerances(lam, z, rho)
 
 
 class TestSolverProperties:
