@@ -43,7 +43,7 @@ from .secular import (
 )
 from .plan import MergePlan, PlanNode, plan_from_leaves
 from .factorization import FactorizedGft, factorize
-from .partition import CostModel, CutCandidate, bisect, build_plan, fiedler_vector
+from .partition import CutCandidate, bisect, build_plan, fiedler_vector
 from .sparsify import (
     ResistanceEstimate,
     SparsifiedInterface,

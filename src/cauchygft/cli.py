@@ -1,4 +1,4 @@
-"""Command-line driver: factorize, bench, filter, partition, sparsify.
+"""Command-line driver: factorize, partition, bench, filter.
 
 Exit codes: 0 success (and verification within tolerance), 1 verification
 failure, 2 input or configuration errors. CAUCHY_GFT_SEED provides the seed
@@ -19,57 +19,42 @@ from .errors import CauchyGftError
 from .factorization import DENSE_LIMIT, FactorizedGft, factorize
 from .filters import apply_layer, parse_filter_config
 from .graph import barabasi_albert, build_laplacian, read_graph, write_graph
-from .partition import CostModel, build_plan
+from .partition import build_plan
 from .plan import MergePlan
 from .sparsify import SparsifyPolicy, verify_spectral_bound
 
 VERIFY_TOL = 1e-8
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("CAUCHY_GFT_SEED", "0"))
-
-
 def _load_graph(args):
     if args.ba is not None:
-        n, m, seed = args.ba
-        return barabasi_albert(int(n), int(m), int(seed))
+        return barabasi_albert(*args.ba)
     if args.graph is None:
         raise CauchyGftError("provide a graph file or --ba N M SEED")
     return read_graph(args.graph)
 
 
-def _policy_from_args(args) -> SparsifyPolicy | None:
-    rho = getattr(args, "sparsify", None)
-    target = getattr(args, "sparsify_count", None)
-    if rho is None and target is None:
-        return None
-    return SparsifyPolicy(
-        keep_fraction=rho, target_count=target, eps_jl=args.eps_jl
-    )
-
-
 def _plan_for(args, g):
-    cost = CostModel(eig_coeff=args.eig_const, merge_coeff=args.merge_const)
+    policy = None
+    if args.sparsify is not None or args.sparsify_count is not None:
+        policy = SparsifyPolicy(keep_fraction=args.sparsify, target_count=args.sparsify_count)
     return build_plan(
         g,
-        cost=cost,
         max_levels=args.max_levels,
         force_levels=args.force_levels,
-        sparsify=_policy_from_args(args),
+        sparsify=policy,
         seed=args.seed,
     )
 
 
-def _add_graph_args(p):
+def _add_plan_args(p, seed: str):
+    """The graph and plan-recipe arguments of factorize and partition."""
     p.add_argument("graph", nargs="?", help="graph file (edge-list format)")
     p.add_argument(
         "--ba", nargs=3, metavar=("N", "M", "SEED"), type=int,
         help="generate a preferential-attachment graph instead of reading a file",
     )
-
-
-def _add_plan_args(p):
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--max-levels", type=int, default=8)
     p.add_argument("--force-levels", type=int, default=0,
                    help="accept the first splits unconditionally")
@@ -77,9 +62,6 @@ def _add_plan_args(p):
                    help="interface keep fraction in (0, 1]")
     p.add_argument("--sparsify-count", type=int, default=None,
                    help="target bridge count per interface")
-    p.add_argument("--eps-jl", type=float, default=0.5)
-    p.add_argument("--eig-const", type=float, default=1.0)
-    p.add_argument("--merge-const", type=float, default=1.0)
 
 
 def cmd_factorize(args) -> int:
@@ -137,20 +119,6 @@ def cmd_partition(args) -> int:
     if args.graph_out:
         write_graph(res.graph, args.graph_out)
         print(f"wrote graph to {args.graph_out}")
-    return 0
-
-
-def cmd_sparsify(args) -> int:
-    g = _load_graph(args)
-    if args.sparsify is None and args.sparsify_count is None:
-        args.sparsify = 0.5
-    res = _plan_for(args, g)
-    plan = res.plan
-    kept = plan.total_bridges
-    print(f"interfaces: {len(plan.interfaces)}, retained bridges: {kept}")
-    if args.out:
-        write_graph(res.graph, args.out)
-        print(f"wrote sparsified graph to {args.out}")
     report = {
         "n": g.n,
         "original_edges": g.num_edges,
@@ -220,14 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph Fourier transforms as chains of localized Cauchy factors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    seed = os.environ.get("CAUCHY_GFT_SEED", "0")  # argparse applies type=int
 
     p = sub.add_parser("factorize", help="factorize a graph and optionally verify")
-    _add_graph_args(p)
-    _add_plan_args(p)
+    _add_plan_args(p, seed)
     p.add_argument("--plan", help="use a saved plan instead of building one")
     p.add_argument("--kind", choices=["combinatorial", "normalized"],
                    default="combinatorial")
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--verify", action="store_true",
                    help=f"compare against the dense eigensolver (n <= {DENSE_LIMIT})")
     p.add_argument("--out", help="write the factorization JSON to exactly this path")
@@ -235,24 +202,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--print-spectrum", action="store_true")
     p.set_defaults(fn=cmd_factorize)
 
-    p = sub.add_parser("partition", help="build and save a merge plan")
-    _add_graph_args(p)
-    _add_plan_args(p)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser(
+        "partition", help="build a merge plan, optionally sparsify and report"
+    )
+    _add_plan_args(p, seed)
     p.add_argument("--out", help="plan JSON path")
     p.add_argument("--graph-out", help="write the (sparsified) graph here")
-    p.set_defaults(fn=cmd_partition)
-
-    p = sub.add_parser("sparsify", help="sparsify interfaces and report")
-    _add_graph_args(p)
-    _add_plan_args(p)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", help="sparsified graph path")
     p.add_argument("--report", help="JSON report path")
     p.add_argument("--verify-bound", action="store_true")
     p.add_argument("--eps", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=100)
-    p.set_defaults(fn=cmd_sparsify)
+    p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("bench", help="runtime scaling sweeps")
     p.add_argument("--mode", choices=["nodes", "cut"], required=True)
@@ -265,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=5, help="interface size for mode=nodes")
     p.add_argument("--levels", type=int, default=2)
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--ed-max", type=int, default=None,
                    help="skip the dense baseline above this n")
     p.add_argument("--verify-max", type=int, default=0,
@@ -286,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
     try:
         return args.fn(args)
     except (CauchyGftError, OSError, ValueError, json.JSONDecodeError) as exc:

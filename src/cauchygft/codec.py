@@ -43,7 +43,7 @@ def fields_from_dict(cls, data: dict):
     A missing field raises KeyError, a value that does not fit its hint
     TypeError or ValueError.
     """
-    return cls(**{name: from_json(hint, data[name]) for name, hint in _init_fields(cls)})
+    return _fields_reader(cls)(data)
 
 
 def to_json(value):
@@ -60,24 +60,41 @@ def to_json(value):
     return value
 
 
-def from_json(hint, data):
+@functools.cache
+def _reader(hint):
+    """The function that reads JSON data of type `hint`, resolved once per hint."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is Annotated:
-        arr = np.asarray(data, dtype=args[1])
-        if arr.dtype.kind == "f" and not np.isfinite(arr).all():
-            raise ValueError("a float array holds NaN or inf")
-        return arr
+        dtype = args[1]
+
+        def read_array(data):
+            arr = np.asarray(data, dtype=dtype)
+            if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+                raise ValueError("a float array holds NaN or inf")
+            return arr
+
+        return read_array
     if origin in (typing.Union, types.UnionType):
         (inner,) = [a for a in args if a is not type(None)]
-        return None if data is None else from_json(inner, data)
+        read = _reader(inner)
+        return lambda data: None if data is None else read(data)
     if origin is tuple and args[-1] is not Ellipsis:
-        return tuple(from_json(a, v) for a, v in zip(args, data, strict=True))
+        reads = tuple(_reader(a) for a in args)
+        return lambda data: tuple(r(v) for r, v in zip(reads, data, strict=True))
     if origin in (list, tuple):
-        return origin(from_json(args[0], v) for v in data)
+        read = _reader(args[0])
+        return lambda data: origin(read(v) for v in data)
     if origin is dict:
-        return {args[0](k): from_json(args[1], v) for k, v in data.items()}
+        key, read = args[0], _reader(args[1])
+        return lambda data: {key(k): read(v) for k, v in data.items()}
     if hasattr(hint, "from_dict"):
-        return hint.from_dict(data)
+        return hint.from_dict
     if dataclasses.is_dataclass(hint):
-        return fields_from_dict(hint, data)
-    return hint(data)
+        return _fields_reader(hint)
+    return hint
+
+
+@functools.cache
+def _fields_reader(cls):
+    reads = tuple((name, _reader(hint)) for name, hint in _init_fields(cls))
+    return lambda data: cls(**{name: read(data[name]) for name, read in reads})

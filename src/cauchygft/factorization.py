@@ -328,17 +328,15 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
         raise PlanMismatch(f"unknown Laplacian kind {kind!r}")
 
     leaf_bases: list[np.ndarray] = []
-    node_lam: dict[int, np.ndarray] = {}
     level_lambdas: dict[int, np.ndarray] = {}
     for i, leaf in enumerate(plan.leaves):
         lam, basis = dense_eig(_leaf_block(g, leaf, kind, inv_sqrt_deg))
         leaf_bases.append(basis)
-        nid = plan.leaf_node_id[i]
-        node_lam[nid] = lam
-        level_lambdas[nid] = lam.copy()
+        level_lambdas[plan.leaf_node_id[i]] = lam
 
     # projected bridge vectors, keyed by canonical edge; full length for
-    # simple range views (support only ever grows within subtree ranges)
+    # simple range views (support only ever grows within subtree ranges);
+    # each leaves once its owner has solved it
     zvecs: dict[tuple[int, int], np.ndarray] = {}
     # carry[nid]: the bridges merge nid transforms, in zvecs order. A bridge
     # is carried by every merge on the paths from its endpoints' leaves up
@@ -371,7 +369,7 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
         block = np.empty((s1 - s0, 0))
         if keys:
             block = np.stack([zvecs[k][s0:s1] for k in keys], axis=1)
-        lam = np.concatenate([node_lam[a], node_lam[b]])
+        lam = np.concatenate([level_lambdas[a], level_lambdas[b]])
         concat_perm: np.ndarray | None = None
         if np.any(np.diff(lam) < 0.0):
             concat_perm = np.argsort(lam, kind="stable")
@@ -385,7 +383,7 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
         for u, v, w in bridges:
             key = (min(u, v), max(u, v))
             j = keys.index(key)
-            z = zvecs[key]
+            z = zvecs.pop(key)
             z[s0:s1] = block[:, j]
             outside = np.linalg.norm(z[:s0]) + np.linalg.norm(z[s1:])
             if outside > 1e-10 * max(1.0, np.linalg.norm(z)):
@@ -408,8 +406,7 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
             steps.append(step)
         for j, k in enumerate(keys):
             zvecs[k][s0:s1] = block[:, j]
-        node_lam[nid] = lam
-        level_lambdas[nid] = lam.copy()
+        level_lambdas[nid] = lam
         history.append(
             MergeRecord(
                 node_id=nid, start=s0, stop=s1, concat_perm=concat_perm, steps=steps
@@ -421,7 +418,7 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
         kind=kind,
         leaf_bases=leaf_bases,
         history=history,
-        lambda_final=node_lam[plan.root_id],
+        lambda_final=level_lambdas[plan.root_id].copy(),
         level_lambdas=level_lambdas,
         plan_hash=plan.content_hash(),
     )

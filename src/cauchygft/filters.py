@@ -44,7 +44,8 @@ class FilterBank:
     With normalize=True the filters sum to one across the bank for every
     eigenvalue in the domain (coefficient columns renormalized for splines,
     pointwise response normalization for RBFs). Unset coefficients are the
-    identity, unset RBF centers and widths follow an even grid on [0, 1].
+    identity, unset RBF centers and widths follow an even grid on [0, 1];
+    set ones must be num_basis finite values, widths positive.
     """
 
     kind: str
@@ -67,6 +68,11 @@ class FilterBank:
                 self.widths = np.full(k, 1.0 / (k - 1) if k > 1 else 1.0)
             self.centers = np.asarray(self.centers, dtype=np.float64)
             self.widths = np.asarray(self.widths, dtype=np.float64)
+            for name, arr in (("centers", self.centers), ("widths", self.widths)):
+                if arr.shape != (k,) or not np.isfinite(arr).all():
+                    raise InvalidParams(f"RBF {name} must be {k} finite values")
+            if np.any(self.widths <= 0.0):
+                raise InvalidParams("RBF widths must be positive")
         else:
             raise InvalidParams(f"unknown bank kind {self.kind!r}")
         if self.coefficients is None:
@@ -203,10 +209,19 @@ def parse_filter_config(data) -> FilterLayerConfig:
             data.get("global", {"kind": "unit"}), "global filter config"
         ),
         node_filters={
-            int(nid): _parse_filter(spec, f"filter config of node {nid}")
+            _node_id(nid): _parse_filter(spec, f"filter config of node {nid}")
             for nid, spec in nodes.items()
         },
     )
+
+
+def _node_id(key: str) -> int:
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigMismatch(
+            f"filter config field 'nodes' has key {key!r}, not a tree node id"
+        ) from None
 
 
 def _parse_filter(data, where: str) -> Filter:

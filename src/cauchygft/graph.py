@@ -136,7 +136,6 @@ class Graph:
 class Laplacian:
     """Symmetric PSD graph Laplacian, combinatorial or degree-normalized."""
 
-    kind: str
     matrix: sp.csr_matrix
 
     @property
@@ -170,7 +169,7 @@ def build_laplacian(g: Graph, kind: str = COMBINATORIAL) -> Laplacian:
         s = 1.0 / np.sqrt(deg)
         lap = sp.csr_matrix(sp.diags(s) @ lap @ sp.diags(s))
     lap.sum_duplicates()
-    return Laplacian(kind=kind, matrix=lap)
+    return Laplacian(matrix=lap)
 
 
 def barabasi_albert(n: int, m: int, seed: int) -> Graph:

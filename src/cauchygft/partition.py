@@ -27,31 +27,9 @@ DEFAULT_QUANTILES = tuple(np.linspace(0.45, 0.55, 11))
 _DENSE_FIEDLER_N = 64
 _DENSE_FALLBACK_N = 2048
 _FIEDLER_ITERS = 40
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """eig(n) for a dense leaf solve, merge(n, k) for one interface.
-
-    The cubic dense solve and the n^2 k merge term, each with its own
-    coefficient (unit by default).
-    """
-
-    eig_coeff: float = 1.0
-    merge_coeff: float = 1.0
-
-    def eig(self, n: int) -> float:
-        return self.eig_coeff * float(n) ** 3
-
-    def merge(self, n: int, k: int) -> float:
-        return self.merge_coeff * float(n) ** 2 * k
-
-    def accepts(self, n: int, n_a: int, n_b: int, k: int) -> bool:
-        lhs = self.merge(n, k) + max(self.eig(n_a), self.eig(n_b))
-        return lhs < self.eig(n)
-
-    def describe(self) -> dict:
-        return {"eig_coeff": self.eig_coeff, "merge_coeff": self.merge_coeff}
+# unit coefficients of eig(n) = n^3 and merge(n, k) = n^2 k; uncalibrated
+EIG_COEFF = 1.0
+MERGE_COEFF = 1.0
 
 
 @dataclass(eq=False)
@@ -59,13 +37,20 @@ class CutCandidate:
     side_a: np.ndarray
     side_b: np.ndarray
     crossing_edges: list[tuple[int, int, float]]
-    balance: float
 
 
 @dataclass(eq=False)
 class PlanResult:
     plan: MergePlan
     graph: Graph  # equals the input unless interfaces were sparsified
+
+
+def _split_pays(n: int, n_a: int, n_b: int, k: int) -> bool:
+    """merge(n, k) + max(eig(n_a), eig(n_b)) < eig(n)."""
+    lhs = MERGE_COEFF * float(n) ** 2 * k + max(
+        EIG_COEFF * float(n_a) ** 3, EIG_COEFF * float(n_b) ** 3
+    )
+    return lhs < EIG_COEFF * float(n) ** 3
 
 
 def fiedler_vector(g: Graph, seed: int = 0) -> np.ndarray:
@@ -174,13 +159,11 @@ def bisect(g: Graph, seed: int = 0) -> CutCandidate:
         side_a=np.flatnonzero(in_a),
         side_b=np.flatnonzero(~in_a),
         crossing_edges=crossing_edges,
-        balance=m_a / g.n,
     )
 
 
 def build_plan(
     g: Graph,
-    cost: CostModel | None = None,
     max_levels: int = 8,
     sparsify: SparsifyPolicy | None = None,
     seed: int = 0,
@@ -194,7 +177,6 @@ def build_plan(
     single-leaf plan, i.e. one dense solve. Tree nodes are numbered
     children first, leaves left to right.
     """
-    cost = cost or CostModel()
     rng = np.random.default_rng(seed)
     leaves: list[np.ndarray] = []
     tree: list[PlanNode] = []
@@ -252,7 +234,7 @@ def build_plan(
             kept_local = crossing_local
         k_eff = len(kept_local)
         forced = depth < force_levels
-        if not forced and not cost.accepts(
+        if not forced and not _split_pays(
             nodes.size, cand.side_a.size, cand.side_b.size, k_eff
         ):
             return leaf(nodes)
@@ -272,7 +254,7 @@ def build_plan(
             "max_levels": max_levels,
             "force_levels": force_levels,
             "quantiles": [float(q) for q in DEFAULT_QUANTILES],
-            "cost": cost.describe(),
+            "cost": {"eig_coeff": EIG_COEFF, "merge_coeff": MERGE_COEFF},
             "sparsify": None
             if sparsify is None
             else {

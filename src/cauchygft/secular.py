@@ -163,10 +163,6 @@ class CauchyFactor:
     def affected(self) -> np.ndarray:
         return self.deflation.kept
 
-    @property
-    def is_identity(self) -> bool:
-        return self.affected.size == 0 and not self.deflation.householder_blocks
-
     def cauchy_matrix(self) -> np.ndarray:
         """Dense orthogonal Cauchy-like block: normalized, sign-fixed columns."""
         s = self.affected.size

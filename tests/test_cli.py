@@ -322,6 +322,13 @@ class TestFilterCmd:
             ({"global": []}, "global filter config must be a JSON object"),
             ({"nodes": {"0": {}}}, "filter config of node 0 has no field 'kind'"),
             ({"nodes": [{"kind": "unit"}]}, "field 'nodes' must map node ids"),
+            ({"nodes": {"root": {"kind": "unit"}}}, "has key 'root', not a tree node id"),
+            ({"kind": "rbf", "K": 3, "coefficients": [[1, 1, 1]], "widths": [0, 0, 0]},
+             "RBF widths must be positive"),
+            ({"kind": "rbf", "K": 3, "coefficients": [[1, 1, 1]], "widths": [1.0, 1.0]},
+             "RBF widths must be 3 finite values"),
+            ({"kind": "rbf", "K": 2, "coefficients": [[1, 1]], "centers": [0.5]},
+             "RBF centers must be 2 finite values"),
         ],
     )
     def test_malformed_filter_config_exit_two(self, tmp_path, p3_file, capsys, config,
@@ -341,21 +348,36 @@ class TestFilterCmd:
         assert err.startswith("error:") and message in err
 
 
-class TestSparsifyCmd:
+class TestPartitionCmd:
     def test_report_and_bound(self, tmp_path, capsys):
         report = tmp_path / "rep.json"
         out = tmp_path / "g.txt"
         code = main(
-            ["sparsify", "--ba", "200", "40", "3", "--force-levels", "1",
+            ["partition", "--ba", "200", "40", "3", "--force-levels", "1",
              "--max-levels", "1", "--sparsify", "0.5", "--verify-bound",
-             "--out", str(out), "--report", str(report), "--seed", "3"]
+             "--graph-out", str(out), "--report", str(report), "--seed", "3"]
         )
         assert code == 0
         data = json.loads(report.read_text())
+        assert set(data) == {"n", "original_edges", "sparsified_edges", "interfaces",
+                             "bound"}
         assert data["sparsified_edges"] < data["original_edges"]
-        assert "bound" in data
         text = capsys.readouterr().out
         assert "quadratic-form ratios" in text
+
+    def test_sparsify_command_refused(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sparsify", "--ba", "20", "2", "0"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'sparsify'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["partition", "factorize"])
+    @pytest.mark.parametrize("flag", ["--eig-const", "--merge-const", "--eps-jl"])
+    def test_removed_plan_flags_refused(self, command, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--ba", "20", "2", "0", flag, "0.5"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CAUCHY_GFT_SEED", "11")
@@ -367,3 +389,10 @@ class TestSparsifyCmd:
             ) == 0
         assert json.loads(out1.read_text()) == json.loads(out2.read_text())
         assert json.loads(out1.read_text())["config"]["seed"] == 11
+
+    def test_bad_env_seed_exit_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("CAUCHY_GFT_SEED", "abc")
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--ba", "20", "2", "0"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err

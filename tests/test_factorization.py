@@ -285,6 +285,17 @@ class TestDegenerateSpectra:
 
 
 class TestSerialization:
+    def test_each_hint_resolves_its_reader_once(self):
+        from cauchygft import codec
+
+        g = barabasi_albert(50, 2, seed=43)
+        data = json.loads(json.dumps(factorize(g, two_block_plan(g)).to_dict()))
+        FactorizedGft.from_dict(data)
+        before = codec._reader.cache_info()
+        FactorizedGft.from_dict(data)
+        after = codec._reader.cache_info()
+        assert after.misses == before.misses and after.hits == before.hits
+
     def test_round_trip_bit_stable(self, tmp_path):
         g = barabasi_albert(50, 2, seed=43)
         f = factorize(g, two_block_plan(g))

@@ -63,6 +63,20 @@ class TestBanks:
         assert np.all(vals[1:] < 1.0)
         assert np.all(vals > 0.0)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"widths": [1.0, 1.0]}, "widths must be 3 finite values"),
+            ({"centers": [0.0, np.nan, 1.0]}, "centers must be 3 finite values"),
+            ({"widths": [[0.5, 0.5, 0.5]]}, "widths must be 3 finite values"),
+            ({"widths": [0.5, 0.0, 0.5]}, "widths must be positive"),
+            ({"widths": [0.5, -1.0, 0.5]}, "widths must be positive"),
+        ],
+    )
+    def test_rbf_centers_and_widths_validated(self, options, message):
+        with pytest.raises(InvalidParams, match=message):
+            FilterBank.rbf(3, **options)
+
     def test_partition_of_unity_four_cubic_bsplines(self):
         # numeric check of the B-spline partition-of-unity identity
         bank = FilterBank.spline(num_basis=4, normalize=True)
