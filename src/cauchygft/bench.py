@@ -5,13 +5,12 @@ fixed interface size, and runtime vs interface size at a fixed node count.
 Methods: CF (leaf solves + hierarchical merge), ED (dense symmetric
 eigensolver on the same graph), PRE (spectral cut + sparsification only).
 Each cell reports the median of `repeats` timed runs after one discarded
-warm-up; CSV rows carry a config hash so sweeps are self-describing.
+warm-up. Where ED ran, the CF row's max_err compares its eigenvalues with
+the ones the timed dense solve returned.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .graph import barabasi_albert, build_laplacian, dense_eig
 from .partition import build_plan
 from .sparsify import SparsifyPolicy
 
-CSV_HEADER = "n,k,seed,method,time_s,max_err,config"
+CSV_HEADER = "n,k,seed,method,time_s,max_err"
 
 
 @dataclass(frozen=True)
@@ -34,20 +33,16 @@ class BenchRecord:
     method: str  # ED | CF | PRE
     time_s: float
     max_err: float | None
-    config: str
 
     def csv_row(self) -> str:
         err = "" if self.max_err is None else repr(self.max_err)
-        return f"{self.n},{self.k},{self.seed},{self.method},{self.time_s!r},{err},{self.config}"
-
-
-def config_hash(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        return f"{self.n},{self.k},{self.seed},{self.method},{self.time_s!r},{err}"
 
 
 def median_time(fn, repeats: int) -> tuple[float, object]:
     """Median wall time over `repeats` runs, one warm-up discarded."""
+    if repeats < 1:
+        raise InvalidParams(f"repeats must be >= 1, got {repeats}")
     result = fn()
     times = []
     for _ in range(repeats):
@@ -65,8 +60,6 @@ def _sweep_cell(
     levels: int,
     repeats: int,
     run_ed: bool,
-    verify: bool,
-    cfg_hash: str,
 ) -> list[BenchRecord]:
     g = barabasi_albert(n, m, seed)
     policy = SparsifyPolicy(target_count=k_target)
@@ -83,18 +76,17 @@ def _sweep_cell(
     t_cf, fact = median_time(lambda: factorize(g_sparse, plan), repeats)
 
     records = [
-        BenchRecord(n, k_actual, seed, "PRE", t_pre, None, cfg_hash),
+        BenchRecord(n, k_actual, seed, "PRE", t_pre, None),
     ]
     max_err = None
     if run_ed:
         lap = build_laplacian(g_sparse)
         t_ed, eig = median_time(lambda: dense_eig(lap), repeats)
-        if verify:
-            max_err = float(
-                np.max(np.abs(np.sort(fact.lambda_final) - eig[0]))
-            )
-        records.append(BenchRecord(n, k_actual, seed, "ED", t_ed, None, cfg_hash))
-    records.append(BenchRecord(n, k_actual, seed, "CF", t_cf, max_err, cfg_hash))
+        max_err = float(
+            np.max(np.abs(np.sort(fact.lambda_final) - eig[0]))
+        )
+        records.append(BenchRecord(n, k_actual, seed, "ED", t_ed, None))
+    records.append(BenchRecord(n, k_actual, seed, "CF", t_cf, max_err))
     return records
 
 
@@ -106,24 +98,17 @@ def bench_nodes(
     k_target: int = 5,
     levels: int = 2,
     ed_max: int | None = None,
-    verify_max: int = 0,
 ) -> list[BenchRecord]:
     """Runtime vs n at fixed interface size (CF, ED and PRE series)."""
     if not sizes:
         raise InvalidParams("size grid must be nonempty")
-    cfg = config_hash(
-        {
-            "mode": "nodes", "sizes": sizes, "m": m, "seed": seed,
-            "repeats": repeats, "k": k_target, "levels": levels,
-        }
-    )
     out: list[BenchRecord] = []
     for n in sizes:
         run_ed = ed_max is None or n <= ed_max
         out.extend(
             _sweep_cell(
                 n, m, seed, k_target, levels, repeats,
-                run_ed=run_ed, verify=n <= verify_max, cfg_hash=cfg,
+                run_ed=run_ed,
             )
         )
     return out
@@ -140,45 +125,22 @@ def bench_cut(
     """Runtime vs interface size at fixed n (CF and PRE series)."""
     if not cuts:
         raise InvalidParams("cut grid must be nonempty")
-    cfg = config_hash(
-        {
-            "mode": "cut", "cuts": cuts, "n": n, "m": m,
-            "seed": seed, "repeats": repeats, "levels": levels,
-        }
-    )
     out: list[BenchRecord] = []
     for k in cuts:
         out.extend(
             _sweep_cell(
                 n, m, seed, k, levels, repeats,
-                run_ed=False, verify=False, cfg_hash=cfg,
+                run_ed=False,
             )
         )
     return out
 
 
-def write_csv(records: list[BenchRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
-
-
-def read_csv(path: str) -> list[BenchRecord]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != CSV_HEADER:
-        raise InvalidParams(f"unexpected CSV header: {lines[:1]}")
-    out = []
-    for line in lines[1:]:
-        n, k, seed, method, t, err, cfg = line.split(",")
-        out.append(
-            BenchRecord(
-                n=int(n), k=int(k), seed=int(seed), method=method,
-                time_s=float(t), max_err=float(err) if err else None, config=cfg,
-            )
-        )
-    return out
+def write_csv(records: list[BenchRecord], fh) -> None:
+    """Write the header and one row per record to an open text stream."""
+    fh.write(CSV_HEADER + "\n")
+    for rec in records:
+        fh.write(rec.csv_row() + "\n")
 
 
 def loglog_slope(xs: list[float], ts: list[float]) -> float:

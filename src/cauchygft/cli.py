@@ -83,10 +83,9 @@ def cmd_factorize(args) -> int:
     if args.plan_out:
         plan.save(args.plan_out)
         print(f"wrote plan to {args.plan_out}")
-    if args.verify:
-        if g_used.n > DENSE_LIMIT:
-            print(f"skipping verification: n={g_used.n} > {DENSE_LIMIT}")
-            return 0
+    if args.verify and g_used.n > DENSE_LIMIT:
+        print(f"skipping verification: n={g_used.n} > {DENSE_LIMIT}")
+    elif args.verify:
         lap = build_laplacian(g_used, args.kind).dense()
         w = np.linalg.eigvalsh(lap)
         lam_err = float(np.max(np.abs(np.sort(fact.lambda_final) - w)))
@@ -147,27 +146,25 @@ def cmd_partition(args) -> int:
     return 0
 
 
+def _int_grid(text: str) -> list[int]:
+    return [int(s) for s in text.split(",") if s]
+
+
 def cmd_bench(args) -> int:
-    if args.mode == "nodes":
-        sizes = [int(s) for s in args.sizes.split(",") if s]
+    if args.sizes is not None:
         records = bench_mod.bench_nodes(
-            sizes, m=args.m, seed=args.seed, repeats=args.repeats,
-            k_target=args.k, levels=args.levels,
-            ed_max=args.ed_max, verify_max=args.verify_max,
+            args.sizes, seed=args.seed, repeats=args.repeats,
         )
     else:
-        cuts = [int(s) for s in args.cuts.split(",") if s]
         records = bench_mod.bench_cut(
-            cuts, n=args.n, m=args.m, seed=args.seed,
-            repeats=args.repeats, levels=args.levels,
+            args.cuts, n=args.n, seed=args.seed, repeats=args.repeats,
         )
     if args.out:
-        bench_mod.write_csv(records, args.out)
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            bench_mod.write_csv(records, fh)
         print(f"wrote {len(records)} records to {args.out}")
     else:
-        print(bench_mod.CSV_HEADER)
-        for rec in records:
-            print(rec.csv_row())
+        bench_mod.write_csv(records, sys.stdout)
     return 0
 
 
@@ -215,21 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_partition)
 
     p = sub.add_parser("bench", help="runtime scaling sweeps")
-    p.add_argument("--mode", choices=["nodes", "cut"], required=True)
-    p.add_argument("--sizes", default="500,1000,2000",
-                   help="node counts for mode=nodes (comma-separated)")
-    p.add_argument("--cuts", default="2,4,8,16",
-                   help="interface sizes for mode=cut (comma-separated)")
-    p.add_argument("--n", type=int, default=8000, help="node count for mode=cut")
-    p.add_argument("--m", type=int, default=2)
-    p.add_argument("--k", type=int, default=5, help="interface size for mode=nodes")
-    p.add_argument("--levels", type=int, default=2)
+    grid = p.add_mutually_exclusive_group(required=True)
+    grid.add_argument("--sizes", type=_int_grid,
+                      help="node counts of a runtime-vs-n sweep (comma-separated)")
+    grid.add_argument("--cuts", type=_int_grid,
+                      help="interface sizes of a runtime-vs-k sweep at --n (comma-separated)")
+    p.add_argument("--n", type=int, default=8000, help="node count of the --cuts sweep")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=seed)
-    p.add_argument("--ed-max", type=int, default=None,
-                   help="skip the dense baseline above this n")
-    p.add_argument("--verify-max", type=int, default=0,
-                   help="record eigenvalue error for n up to this")
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_bench)
 

@@ -13,7 +13,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,27 +50,14 @@ _PCG_MAXITER = 1000
 _BOUND_DENSE_N = 300
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u <= v else (v, u)
-
-
 @dataclass(eq=False)
 class ResistanceEstimate:
-    """Approximate effective resistances for a set of edges."""
+    """Approximate effective resistances; values[i] belongs to edges[i]."""
 
     edges: list[tuple[int, int]]
     values: np.ndarray
     projection_dim: int
     epsilon_jl: float
-    lookup: dict = field(init=False)
-
-    def __post_init__(self):
-        self.lookup = {
-            _edge_key(u, v): float(r) for (u, v), r in zip(self.edges, self.values)
-        }
-
-    def value_for(self, u: int, v: int) -> float:
-        return self.lookup[_edge_key(u, v)]
 
 
 @dataclass(eq=False)
@@ -85,8 +72,6 @@ class SpectralBoundReport:
     eps: float
     ratio_min: float
     ratio_max: float
-    random_ratio_min: float
-    random_ratio_max: float
     dense_extremes: bool
     passed: bool
 
@@ -351,6 +336,7 @@ def sparsify_interface(
 
     q = max(1, ceil(keep_fraction * |interface|)) unless target_count pins it
     directly. Duplicate draws merge by summing their w_e/(q p_e) weights.
+    `resistances` must list the interface's (u, v) pairs in order.
     """
     m = len(interface_edges)
     if m == 0:
@@ -364,7 +350,10 @@ def sparsify_interface(
             raise InvalidParams("keep_fraction must lie in (0, 1]")
         q = max(1, math.ceil(keep_fraction * m))
     w = np.array([e[2] for e in interface_edges])
-    r = np.array([resistances.value_for(e[0], e[1]) for e in interface_edges])
+    pairs = [(e[0], e[1]) for e in interface_edges]
+    if resistances.edges != pairs or len(resistances.values) != m:
+        raise InvalidParams("resistance estimate does not list the interface's edges in order")
+    r = np.asarray(resistances.values, dtype=np.float64)
     if np.any(r <= 0.0):
         raise InvalidParams("resistances must be strictly positive")
     p = w * r
@@ -419,9 +408,8 @@ def verify_spectral_bound(
         if qa <= 1e-12 * n:
             continue
         ratios.append(float(x @ (b @ x)) / qa)
-    rnd_min = min(ratios) if ratios else 1.0
-    rnd_max = max(ratios) if ratios else 1.0
-    lo, hi = rnd_min, rnd_max
+    lo = min(ratios) if ratios else 1.0
+    hi = max(ratios) if ratios else 1.0
     dense = n <= _BOUND_DENSE_N
     if dense:
         w, u = np.linalg.eigh(a)
@@ -437,8 +425,6 @@ def verify_spectral_bound(
         eps=eps,
         ratio_min=lo,
         ratio_max=hi,
-        random_ratio_min=rnd_min,
-        random_ratio_max=rnd_max,
         dense_extremes=dense,
         passed=passed,
     )
@@ -453,8 +439,8 @@ class SparsifyPolicy:
     eps_jl: float = 0.5
 
     def __post_init__(self):
-        if self.keep_fraction is None and self.target_count is None:
-            raise InvalidParams("policy needs keep_fraction or target_count")
+        if (self.keep_fraction is None) == (self.target_count is None):
+            raise InvalidParams("policy needs exactly one of keep_fraction and target_count")
 
 
 def apply_policy(

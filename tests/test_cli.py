@@ -1,11 +1,13 @@
+import csv
 import json
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cauchygft import cli
-from cauchygft.bench import read_csv
 from cauchygft.cli import main
 
 
@@ -48,7 +50,7 @@ class TestFactorizeCmd:
         assert main(["factorize"]) == 2
 
     @pytest.mark.parametrize(
-        "command", [["factorize", "--ba", "20", "2", "0"], ["bench", "--mode", "nodes"]]
+        "command", [["factorize", "--ba", "20", "2", "0"], ["bench", "--sizes", "60"]]
     )
     def test_threads_option_refused(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -58,11 +60,12 @@ class TestFactorizeCmd:
 
     def test_verify_skipped_above_dense_limit(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "DENSE_LIMIT", 30)
-        code = main(["factorize", "--ba", "40", "2", "0", "--verify"])
+        code = main(["factorize", "--ba", "40", "2", "0", "--verify", "--print-spectrum"])
         assert code == 0
         out = capsys.readouterr().out
         assert "skipping verification: n=40 > 30" in out
         assert "verification ok" not in out
+        assert len(out.split("eigenvalues:")[1].split()) == 40
 
     def test_dense_limit_option_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -129,42 +132,80 @@ class TestFactorizeCmd:
         assert err.startswith("error:") and message in err
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 class TestBenchCmd:
     def test_nodes_mode_csv_schema(self, tmp_path):
         out = tmp_path / "bench.csv"
         code = main(
-            ["bench", "--mode", "nodes", "--sizes", "60,120", "--repeats", "1",
-             "--k", "3", "--seed", "5", "--out", str(out)]
+            ["bench", "--sizes", "60,120", "--repeats", "1",
+             "--seed", "5", "--out", str(out)]
         )
         assert code == 0
         lines = out.read_text().splitlines()
-        assert lines[0] == "n,k,seed,method,time_s,max_err,config"
-        records = read_csv(str(out))
-        methods = {(r.n, r.method) for r in records}
+        assert lines[0] == "n,k,seed,method,time_s,max_err"
+        rows = read_rows(out)
+        methods = {(int(r["n"]), r["method"]) for r in rows}
         assert (60, "CF") in methods and (120, "ED") in methods
-        assert all(r.time_s > 0 for r in records)
+        assert all(float(r["time_s"]) > 0 for r in rows)
+        cf = [r for r in rows if r["method"] == "CF"]
+        assert len(cf) == 2 and all(float(r["max_err"]) <= 1e-8 for r in cf)
 
     def test_cut_mode(self, tmp_path):
         out = tmp_path / "cut.csv"
         code = main(
-            ["bench", "--mode", "cut", "--cuts", "2,4", "--n", "120",
+            ["bench", "--cuts", "2,4", "--n", "120",
              "--repeats", "1", "--seed", "1", "--out", str(out)]
         )
         assert code == 0
-        records = read_csv(str(out))
-        assert {r.method for r in records} == {"CF", "PRE"}
+        rows = read_rows(out)
+        assert {r["method"] for r in rows} == {"CF", "PRE"}
+        assert all(r["max_err"] == "" for r in rows)
+
+    def test_csv_to_stdout(self, capsys):
+        assert main(["bench", "--cuts", "2", "--n", "80", "--repeats", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "n,k,seed,method,time_s,max_err"
+        assert [line.split(",")[3] for line in lines[1:]] == ["PRE", "CF"]
 
     def test_empty_grid_exit_two(self, capsys):
-        assert main(["bench", "--mode", "nodes", "--sizes", ""]) == 2
+        assert main(["bench", "--sizes", ""]) == 2
+
+    @pytest.mark.parametrize(
+        "grid", [[], ["--sizes", "60", "--cuts", "2"]], ids=["neither", "both"]
+    )
+    def test_one_grid_required(self, grid, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", *grid])
+        assert exc.value.code == 2
+        assert "--sizes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--mode", "nodes"), ("--m", "2"), ("--k", "3"), ("--levels", "2"),
+         ("--ed-max", "100"), ("--verify-max", "100")],
+    )
+    def test_removed_flags_refused(self, flag, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--sizes", "60", flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_zero_repeats_exit_two(self, capsys):
+        assert main(["bench", "--sizes", "60", "--repeats", "0"]) == 2
+        assert "error: repeats must be >= 1" in capsys.readouterr().err
 
     def test_determinism_modulo_time(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):
-            main(["bench", "--mode", "nodes", "--sizes", "80", "--repeats", "1",
-                  "--seed", "9", "--verify-max", "100", "--out", str(path)])
-        ra, rb = read_csv(str(a)), read_csv(str(b))
-        assert [(r.n, r.k, r.method, r.max_err) for r in ra] == [
-            (r.n, r.k, r.method, r.max_err) for r in rb
+            main(["bench", "--sizes", "80", "--repeats", "1",
+                  "--seed", "9", "--out", str(path)])
+        ra, rb = read_rows(a), read_rows(b)
+        assert [(r["n"], r["k"], r["method"], r["max_err"]) for r in ra] == [
+            (r["n"], r["k"], r["method"], r["max_err"]) for r in rb
         ]
 
 
@@ -365,6 +406,12 @@ class TestPartitionCmd:
         text = capsys.readouterr().out
         assert "quadratic-form ratios" in text
 
+    def test_fraction_and_count_refused(self, capsys):
+        code = main(["partition", "--ba", "60", "6", "3", "--force-levels", "1",
+                     "--max-levels", "1", "--sparsify", "0.5", "--sparsify-count", "3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: policy needs exactly one")
+
     def test_sparsify_command_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sparsify", "--ba", "20", "2", "0"])
@@ -396,3 +443,22 @@ class TestPartitionCmd:
             main(["partition", "--ba", "20", "2", "0"])
         assert exc.value.code == 2
         assert "invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    """Every `cauchygft ...` line in README.md's code blocks parses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+    commands = [
+        line
+        for block in blocks
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("cauchygft ")
+    ]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 import cauchygft.sparsify as sparsify
-from cauchygft.errors import Disconnected, EmptyInterface, SolverNotConverged
+from cauchygft.errors import (
+    Disconnected,
+    EmptyInterface,
+    InvalidParams,
+    SolverNotConverged,
+)
 from cauchygft.graph import Graph, barabasi_albert, build_laplacian
 from cauchygft.partition import build_plan
 from cauchygft.sparsify import (
@@ -41,7 +46,8 @@ class TestResistances:
         g = Graph.from_edges(2, [(0, 1, 1.0)])
         assert exact_resistances(g, [(0, 1)]) == pytest.approx([1.0])
         est = estimate_resistances(g, eps_jl=0.5, seed=0)
-        assert 0.5 <= est.value_for(0, 1) <= 1.5
+        assert est.edges == [(0, 1)]
+        assert 0.5 <= est.values[0] <= 1.5
 
     def test_p3_tree_edge(self):
         g = Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -52,7 +58,7 @@ class TestResistances:
         got = exact_resistances(cycle4(), [(0, 1)])
         assert got == pytest.approx([0.75], abs=1e-12)
         est = estimate_resistances(cycle4(), [(0, 1, 1.0)], eps_jl=0.5, seed=3)
-        assert 0.75 * 0.5 <= est.value_for(0, 1) <= 0.75 * 1.5
+        assert 0.75 * 0.5 <= est.values[0] <= 0.75 * 1.5
 
     def test_jl_dimension_floor(self):
         assert jl_dimension(200, 0.5) == int(np.ceil(24 * np.log(200) / 0.25))
@@ -70,9 +76,10 @@ class TestResistances:
                 60, [(u, v, wi) for (u, v, _), wi in zip(g0.edge_list(), w)]
             )
             est = estimate_resistances(g, eps_jl=0.5, seed=seed)
-            for (u, v, wi) in g.edge_list():
+            assert est.edges == [(u, v) for u, v, _ in g.edge_list()]
+            for (_, _, wi), r in zip(g.edge_list(), est.values):
                 total += 1
-                hits += 0.5 / wi <= est.value_for(u, v) <= 1.5 / wi
+                hits += 0.5 / wi <= r <= 1.5 / wi
         assert hits / total >= 0.95
 
     def test_estimates_track_exact_on_ba(self):
@@ -380,6 +387,27 @@ class TestSampler:
         out = sparsify_interface(edges, res, target_count=3, seed=0)
         assert out.sample_count == 3
         assert 1 <= len(out.kept_edges) <= 3
+
+    @pytest.mark.parametrize(
+        "est_edges",
+        [[(0, 1)], [(0, 1), (0, 1)], [(0, 2), (0, 1)], [(0, 1), (0, 2), (0, 3)]],
+        ids=["missing", "duplicated", "reordered", "extra"],
+    )
+    def test_estimate_must_list_interface_in_order(self, est_edges):
+        res = ResistanceEstimate(
+            edges=est_edges,
+            values=np.ones(len(est_edges)),
+            projection_dim=0,
+            epsilon_jl=0.5,
+        )
+        with pytest.raises(InvalidParams, match="edges in order"):
+            sparsify_interface([(0, 1, 1.0), (0, 2, 1.0)], res, target_count=1)
+
+    def test_policy_takes_one_sampling_mode(self):
+        with pytest.raises(InvalidParams, match="exactly one"):
+            SparsifyPolicy(keep_fraction=0.5, target_count=3)
+        with pytest.raises(InvalidParams, match="exactly one"):
+            SparsifyPolicy()
 
 
 class TestSpectralBound:
