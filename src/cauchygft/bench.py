@@ -23,6 +23,8 @@ from .partition import build_plan
 from .sparsify import SparsifyPolicy
 
 CSV_HEADER = "n,k,seed,method,time_s,max_err"
+LEVELS = 2  # forced partition depth of every sweep cell
+CUT_N = 8000  # node count of a cut sweep unless the caller sets one
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,7 @@ def bench_nodes(
     seed: int = 0,
     repeats: int = 3,
     k_target: int = 5,
-    levels: int = 2,
+    levels: int = LEVELS,
     ed_max: int | None = None,
 ) -> list[BenchRecord]:
     """Runtime vs n at fixed interface size (CF, ED and PRE series)."""
@@ -116,11 +118,10 @@ def bench_nodes(
 
 def bench_cut(
     cuts: list[int],
-    n: int = 8000,
+    n: int = CUT_N,
     m: int = 2,
     seed: int = 0,
     repeats: int = 3,
-    levels: int = 2,
 ) -> list[BenchRecord]:
     """Runtime vs interface size at fixed n (CF and PRE series)."""
     if not cuts:
@@ -129,7 +130,7 @@ def bench_cut(
     for k in cuts:
         out.extend(
             _sweep_cell(
-                n, m, seed, k, levels, repeats,
+                n, m, seed, k, LEVELS, repeats,
                 run_ed=False,
             )
         )

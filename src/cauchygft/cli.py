@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .errors import CauchyGftError
+from .errors import CauchyGftError, InvalidParams
 from .factorization import DENSE_LIMIT, FactorizedGft, factorize
 from .filters import apply_layer, parse_filter_config
 from .graph import barabasi_albert, build_laplacian, read_graph, write_graph
@@ -152,12 +152,15 @@ def _int_grid(text: str) -> list[int]:
 
 def cmd_bench(args) -> int:
     if args.sizes is not None:
+        if args.n is not None:
+            raise InvalidParams("--n sets the node count of a --cuts sweep only")
         records = bench_mod.bench_nodes(
             args.sizes, seed=args.seed, repeats=args.repeats,
         )
     else:
+        n = bench_mod.CUT_N if args.n is None else args.n
         records = bench_mod.bench_cut(
-            args.cuts, n=args.n, seed=args.seed, repeats=args.repeats,
+            args.cuts, n=n, seed=args.seed, repeats=args.repeats,
         )
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -217,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="node counts of a runtime-vs-n sweep (comma-separated)")
     grid.add_argument("--cuts", type=_int_grid,
                       help="interface sizes of a runtime-vs-k sweep at --n (comma-separated)")
-    p.add_argument("--n", type=int, default=8000, help="node count of the --cuts sweep")
+    p.add_argument("--n", type=int,
+                   help=f"node count of the --cuts sweep (default {bench_mod.CUT_N})")
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out", help="CSV output path")

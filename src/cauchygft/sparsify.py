@@ -325,6 +325,11 @@ def exact_resistances(g: Graph, edges: list[tuple[int, int]]) -> np.ndarray:
     )
 
 
+def _check_sampling_mode(keep_fraction, target_count) -> None:
+    if (keep_fraction is None) == (target_count is None):
+        raise InvalidParams("give exactly one of keep_fraction and target_count")
+
+
 def sparsify_interface(
     interface_edges: list[tuple[int, int, float]],
     resistances: ResistanceEstimate,
@@ -334,19 +339,20 @@ def sparsify_interface(
 ) -> SparsifiedInterface:
     """Sample q crossing edges with replacement, p_e ~ w_e R_e, and reweight.
 
-    q = max(1, ceil(keep_fraction * |interface|)) unless target_count pins it
-    directly. Duplicate draws merge by summing their w_e/(q p_e) weights.
+    Give exactly one of keep_fraction and target_count: q is
+    max(1, ceil(keep_fraction * |interface|)) or target_count. Duplicate draws merge by summing their w_e/(q p_e) weights.
     `resistances` must list the interface's (u, v) pairs in order.
     """
     m = len(interface_edges)
     if m == 0:
         raise EmptyInterface("no crossing edges to sparsify")
+    _check_sampling_mode(keep_fraction, target_count)
     if target_count is not None:
         q = int(target_count)
         if q < 1:
             raise InvalidParams("target_count must be >= 1")
     else:
-        if keep_fraction is None or not 0.0 < keep_fraction <= 1.0:
+        if not 0.0 < keep_fraction <= 1.0:
             raise InvalidParams("keep_fraction must lie in (0, 1]")
         q = max(1, math.ceil(keep_fraction * m))
     w = np.array([e[2] for e in interface_edges])
@@ -439,8 +445,7 @@ class SparsifyPolicy:
     eps_jl: float = 0.5
 
     def __post_init__(self):
-        if (self.keep_fraction is None) == (self.target_count is None):
-            raise InvalidParams("policy needs exactly one of keep_fraction and target_count")
+        _check_sampling_mode(self.keep_fraction, self.target_count)
 
 
 def apply_policy(

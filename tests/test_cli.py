@@ -194,6 +194,18 @@ class TestBenchCmd:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
+    def test_n_only_with_cuts(self, capsys):
+        assert main(["bench", "--sizes", "60", "--n", "100"]) == 2
+        assert "error: --n sets the node count of a --cuts sweep" in capsys.readouterr().err
+
+    def test_cut_sweep_default_n(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(
+            cli.bench_mod, "bench_cut", lambda cuts, n, **kw: seen.append(n) or []
+        )
+        assert main(["bench", "--cuts", "2"]) == 0
+        assert seen == [cli.bench_mod.CUT_N]
+
     def test_zero_repeats_exit_two(self, capsys):
         assert main(["bench", "--sizes", "60", "--repeats", "0"]) == 2
         assert "error: repeats must be >= 1" in capsys.readouterr().err
@@ -410,7 +422,7 @@ class TestPartitionCmd:
         code = main(["partition", "--ba", "60", "6", "3", "--force-levels", "1",
                      "--max-levels", "1", "--sparsify", "0.5", "--sparsify-count", "3"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("error: policy needs exactly one")
+        assert capsys.readouterr().err.startswith("error: give exactly one")
 
     def test_sparsify_command_refused(self, capsys):
         with pytest.raises(SystemExit) as exc:

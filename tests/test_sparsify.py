@@ -408,6 +408,14 @@ class TestSampler:
             SparsifyPolicy(keep_fraction=0.5, target_count=3)
         with pytest.raises(InvalidParams, match="exactly one"):
             SparsifyPolicy()
+        edges = [(0, 1, 1.0), (0, 2, 1.0)]
+        res = ResistanceEstimate(
+            edges=[(0, 1), (0, 2)], values=np.ones(2), projection_dim=0, epsilon_jl=0.5
+        )
+        with pytest.raises(InvalidParams, match="exactly one"):
+            sparsify_interface(edges, res, keep_fraction=0.5, target_count=1)
+        with pytest.raises(InvalidParams, match="exactly one"):
+            sparsify_interface(edges, res)
 
 
 class TestSpectralBound:
