@@ -24,7 +24,7 @@ from .graph import COMBINATORIAL, NORMALIZED, Graph, build_laplacian, dense_eig
 from .plan import MergePlan, read_json
 from .secular import _DENSE_CACHE_MAX, CauchyFactor, rank_one_update_factor
 
-GFT_VERSION = 2
+GFT_VERSION = 3
 # largest n whose operator reconstruct_operator materializes densely
 DENSE_LIMIT = 2048
 
@@ -120,7 +120,7 @@ class MergeRecord:
 
 @dataclass(eq=False)
 class FactorizedGft:
-    """Leaf eigenbases + ordered Cauchy history + final eigenvalues.
+    """Leaf eigenbases + ordered Cauchy history + every tree node's eigenvalues.
 
     The factor data never changes after construction. Each merge record of
     at most _DENSE_CACHE_MAX positions caches one dense operator, built on
@@ -134,13 +134,17 @@ class FactorizedGft:
     kind: str
     leaf_bases: list[F64]
     history: list[MergeRecord]
-    lambda_final: F64
     level_lambdas: dict[int, F64]
     plan_hash: str = ""
 
     @property
     def n(self) -> int:
         return self.plan.n
+
+    @property
+    def lambda_final(self) -> np.ndarray:
+        """The graph's eigenvalues, ascending: the root node's spectrum."""
+        return self.level_lambdas[self.plan.root_id]
 
     def _check_rows(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
         arr = np.asarray(x, dtype=np.float64)
@@ -211,9 +215,10 @@ class FactorizedGft:
 
         The version must be GFT_VERSION, the kind a Laplacian kind, the
         stored plan hash must match the stored plan and every array must
-        have the shape and index range that plan implies; a missing or
-        mistyped field, or a float array holding NaN or inf, is reported
-        the same way.
+        have the shape and index range that plan implies, with each step's
+        affected set strictly increasing and its column norms positive; a
+        missing or mistyped field, or a float array holding NaN or inf, is
+        reported the same way.
         """
         try:
             version = data["version"]
@@ -234,7 +239,8 @@ class FactorizedGft:
         return fact
 
     def _check_shapes(self) -> None:
-        """PlanMismatch unless every array's shape and indices fit the plan."""
+        """PlanMismatch unless every array fits the plan: shapes, index
+        ranges, strictly increasing affected sets, positive column norms."""
 
         def expect(what: str, got, want) -> None:
             if got != want:
@@ -249,7 +255,6 @@ class FactorizedGft:
                 raise PlanMismatch(f"{what} has an index outside {r} positions")
 
         plan = self.plan
-        expect("lambda_final", self.lambda_final.shape, (self.n,))
         expect("leaf_bases", (len(self.leaf_bases),), (len(plan.leaves),))
         for i, basis in enumerate(self.leaf_bases):
             size = len(plan.leaves[i])
@@ -267,18 +272,20 @@ class FactorizedGft:
             for j, step in enumerate(rec.steps):
                 f = step.factor
                 at = f"{where} step {j}"
-                expect(f"{at} factor", (f.size,), (r,))
                 expect_perm(f"{at} perm", step.perm, r)
                 expect_indices(f"{at} affected", f.affected, r)
+                if np.any(np.diff(f.affected) <= 0):
+                    raise PlanMismatch(f"{at} affected is not strictly increasing")
                 expect_indices(f"{at} origins", f.solution.origins, f.affected.size)
-                for blk in f.deflation.householder_blocks:
+                for blk in f.householder_blocks:
                     if not 0 <= blk.start < blk.stop <= r:
                         raise PlanMismatch(f"{at} reflector outside {r} positions")
                     expect(f"{at} reflector", blk.reflector.shape, (blk.stop - blk.start,))
                 a = (f.affected.size,)
                 expect(f"{at} zhat", f.zhat.shape, a)
                 expect(f"{at} column_norms", f.column_norms.shape, a)
-                expect(f"{at} column_signs", f.column_signs.shape, a)
+                if not np.all(f.column_norms > 0.0):
+                    raise PlanMismatch(f"{at} column_norms are not all positive")
                 expect(f"{at} origins", f.solution.origins.shape, a)
                 expect(f"{at} offsets", f.solution.offsets.shape, a)
                 expect(f"{at} lambda_old", f.solution.lambda_old.shape, a)
@@ -418,7 +425,6 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
         kind=kind,
         leaf_bases=leaf_bases,
         history=history,
-        lambda_final=level_lambdas[plan.root_id].copy(),
         level_lambdas=level_lambdas,
         plan_hash=plan.content_hash(),
     )

@@ -138,10 +138,6 @@ class Laplacian:
 
     matrix: sp.csr_matrix
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
     def dense(self) -> np.ndarray:
         return self.matrix.toarray()
 

@@ -224,8 +224,6 @@ def build_plan(
             return split(left, right, depth, [])
         sub_seed = int(rng.integers(1 << 62))
         cand = bisect(sub, seed=sub_seed)
-        if not cand.crossing_edges:
-            return leaf(nodes)
         crossing_local = cand.crossing_edges
         if sparsify is not None:
             spars = apply_policy(sub, crossing_local, sparsify, seed=sub_seed + 1)

@@ -22,7 +22,7 @@ Numerical notes that the tolerances of this package depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,7 +103,6 @@ class DeflationRecord:
     entries over `kept` after the reflectors.
     """
 
-    size: int
     kept: I64
     dropped_zero: I64
     rotated: I64
@@ -142,58 +141,33 @@ class SecularSolution:
 class CauchyFactor:
     """Structured orthogonal transform of one rank-one update.
 
-    Acts on vectors of length `size` as identity outside the affected set
-    (the deflation's kept indices): forward = post-deflation Cauchy-block
+    Acts on the merge's positions as identity outside `affected` (the
+    deflation's kept indices): forward = post-deflation Cauchy-block
     transpose after the Householder rotations, i.e. the map from old-basis
     to new-basis spectral coefficients. Only O(|affected|) data is stored;
-    the dense Cauchy block is rebuilt in column chunks on every apply.
+    the column signs are derived on construction and the dense Cauchy
+    block is rebuilt in column chunks on every apply.
     """
 
     solution: SecularSolution
-    deflation: DeflationRecord
+    affected: I64
+    householder_blocks: tuple[HouseholderBlock, ...]
     zhat: F64                # Loewner-consistent z over `affected`
     column_norms: F64
-    column_signs: F64
+    column_signs: F64 = field(init=False, repr=False)
 
-    @property
-    def size(self) -> int:
-        return self.deflation.size
-
-    @property
-    def affected(self) -> np.ndarray:
-        return self.deflation.kept
-
-    def cauchy_matrix(self) -> np.ndarray:
-        """Dense orthogonal Cauchy-like block: normalized, sign-fixed columns."""
-        s = self.affected.size
-        if s == 0:
-            return np.zeros((0, 0))
-        return _cauchy_columns(
-            self.solution.lambda_old,
-            self.solution.origins,
-            self.solution.offsets,
-            self.zhat,
-            self.column_norms,
-            self.column_signs,
-            np.arange(s),
-        )
-
-    def apply(self, x: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """Multiply x (length `size`, or size x c) by the factor or its transpose."""
-        x = np.asarray(x, dtype=np.float64)
-        vec = x.ndim == 1
-        if x.shape[0] != self.size:
-            raise DimensionMismatch(
-                f"expected leading dimension {self.size}, got {x.shape[0]}"
-            )
-        y = x.reshape(self.size, -1).copy()
-        self.apply_inplace(y, transpose=transpose)
-        return y[:, 0] if vec else y
+    def __post_init__(self) -> None:
+        # every column's first affected entry is zhat_0/(d_0 - mu_j); the
+        # sign flip makes it positive
+        sol = self.solution
+        d = sol.lambda_old
+        row0_mu = (d[sol.origins] - d[:1]) + sol.offsets
+        self.column_signs = np.where(self.zhat[:1] * row0_mu <= 0.0, 1.0, -1.0)
 
     def apply_inplace(self, y: np.ndarray, transpose: bool = False) -> None:
-        """In-place version on a (size, c) array; used on shared-state views."""
+        """Multiply an (r, c) array over the merge's positions in place."""
         if not transpose:
-            for blk in self.deflation.householder_blocks:
+            for blk in self.householder_blocks:
                 blk.apply_t(y)
             if self.affected.size:
                 y[self.affected] = _cauchy_apply(
@@ -206,11 +180,8 @@ class CauchyFactor:
                     self.solution, self.zhat, self.column_norms,
                     self.column_signs, y[self.affected], transpose=False,
                 )
-            for blk in self.deflation.householder_blocks:
+            for blk in self.householder_blocks:
                 blk.apply(y)
-
-    def dense(self) -> np.ndarray:
-        return self.apply(np.eye(self.size))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +236,6 @@ def deflate(lam: np.ndarray, z: np.ndarray, rho: float = 1.0) -> DeflationRecord
     small = alive & (np.abs(zd) <= tol_z)
     kept = np.flatnonzero(alive & ~small)
     return DeflationRecord(
-        size=m,
         kept=kept,
         dropped_zero=np.flatnonzero(small),
         rotated=rot,
@@ -404,7 +374,7 @@ def _solve_two(gap: float, z0: float, z1: float):
 
 
 def _solve_roots(d, zeta):
-    """All m roots of 1 + sum zeta_i/(d_i - mu), d strictly ascending, zeta > 0.
+    """All m >= 1 roots of 1 + sum zeta_i/(d_i - mu), d strictly ascending, zeta > 0.
 
     Returns (origins, tau) with root_j = d[origins[j]] + tau[j]; roots come
     out bracket-sorted. Vectorized over roots; bisection-safeguarded. Raises
@@ -412,8 +382,6 @@ def _solve_roots(d, zeta):
     steps and _MODEL_STEPS bisection sweeps.
     """
     m = d.size
-    if m == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0)
     if m == 1:
         return np.zeros(1, dtype=np.int64), np.array([zeta[0]])
     if m == 2:
@@ -549,13 +517,13 @@ def secular_residuals(sol: SecularSolution) -> np.ndarray:
 
 
 def _assemble_factor_data(d, origins, tau, rho, z_signs):
-    """Loewner-consistent z, column norms and sign fixes in one m x m pass.
+    """Loewner-consistent z and column norms in one m x m pass.
 
     zhat_i^2 = prod_j (mu_j - d_i) / (rho prod_{k != i} (d_k - d_i)) (paired
     O(1) ratios so products never overflow); column norms accumulate from
     the same pole distances, one BLAS product per _CHUNK_ELEMS chunk of
-    rows whose inverse squares are filled in cache blocks; the sign flip
-    makes the first affected row of every column positive.
+    rows whose inverse squares are filled in cache blocks. At m = 1 the one
+    ratio is (mu_0 - d_0) / rho = tau_0 / rho exactly.
     """
     m = d.size
     zh = np.empty(m)
@@ -571,31 +539,24 @@ def _assemble_factor_data(d, origins, tau, rho, z_signs):
             e = min(b + blk, sl.stop)
             di = d[b:e, None]
             mu_minus = (mu[None, :] - di) + tau[None, :]  # mu_j - d_i
-            if m == 1:
-                zh[0] = np.sqrt(np.abs(tau[0] / rho))
-            else:
-                # row i pairs column j with d_j - d_i for j < i and with
-                # d_{j+1} - d_i for j >= i; only the band b <= j < e - 1
-                # holds both kinds among rows b..e-1
-                dd = d[None, :] - di                      # d_j - d_i
-                rl = ratio[: e - b]
-                hi = e - 1
-                np.divide(mu_minus[:, :b], dd[:, :b], out=rl[:, :b])
-                jlt = np.arange(b, hi)[None, :] < np.arange(b, e)[:, None]
-                band = np.where(jlt, dd[:, b:hi], dd[:, b + 1 : hi + 1])
-                np.divide(mu_minus[:, b:hi], band, out=rl[:, b:hi])
-                np.divide(mu_minus[:, hi : m - 1], dd[:, hi + 1 :], out=rl[:, hi : m - 1])
-                np.divide(mu_minus[:, m - 1], rho, out=rl[:, m - 1])
-                zh[b:e] = np.sqrt(np.abs(np.prod(rl, axis=1)))
+            # row i pairs column j with d_j - d_i for j < i and with
+            # d_{j+1} - d_i for j >= i; only the band b <= j < e - 1 holds
+            # both kinds among rows b..e-1
+            dd = d[None, :] - di                      # d_j - d_i
+            rl = ratio[: e - b]
+            hi = e - 1
+            np.divide(mu_minus[:, :b], dd[:, :b], out=rl[:, :b])
+            jlt = np.arange(b, hi)[None, :] < np.arange(b, e)[:, None]
+            band = np.where(jlt, dd[:, b:hi], dd[:, b + 1 : hi + 1])
+            np.divide(mu_minus[:, b:hi], band, out=rl[:, b:hi])
+            np.divide(mu_minus[:, hi : m - 1], dd[:, hi + 1 :], out=rl[:, hi : m - 1])
+            np.divide(mu_minus[:, m - 1], rho, out=rl[:, m - 1])
+            zh[b:e] = np.sqrt(np.abs(np.prod(rl, axis=1)))
             inv = inv_mu2[b - s : e - s]
             np.multiply(mu_minus, mu_minus, out=inv)
             np.divide(1.0, inv, out=inv)
         norm2 += (zh[sl] * zh[sl]) @ inv_mu2[: sl.stop - sl.start]
-    zhat = z_signs * zh
-    # every column's first affected entry is zhat_0/(d_0 - mu_j)
-    row0_mu = (mu - d[0]) + tau
-    signs = np.where(zhat[0] * row0_mu <= 0.0, 1.0, -1.0)
-    return zhat, np.sqrt(norm2), signs
+    return z_signs * zh, np.sqrt(norm2)
 
 
 def _cauchy_columns(d, origins, tau, zhat, norms, signs, col_idx):
@@ -642,18 +603,15 @@ def build_cauchy_factor(record: DeflationRecord, sol: SecularSolution) -> Cauchy
     `record` indices define the factor's coordinate space. An empty kept set
     yields an identity factor.
     """
-    if record.kept.size == 0:
-        empty = np.zeros(0)
-        return CauchyFactor(
-            solution=sol, deflation=record,
-            zhat=empty, column_norms=empty, column_signs=empty,
+    zhat = norms = np.zeros(0)
+    if record.kept.size:
+        zhat, norms = _assemble_factor_data(
+            sol.lambda_old, sol.origins, sol.offsets, sol.rho, np.sign(sol.z)
         )
-    zhat, norms, signs = _assemble_factor_data(
-        sol.lambda_old, sol.origins, sol.offsets, sol.rho, np.sign(sol.z)
-    )
     return CauchyFactor(
-        solution=sol, deflation=record,
-        zhat=zhat, column_norms=norms, column_signs=signs,
+        solution=sol, affected=record.kept,
+        householder_blocks=record.householder_blocks,
+        zhat=zhat, column_norms=norms,
     )
 
 

@@ -97,6 +97,7 @@ class TestFactorizeCmd:
             ("unknown_owner", "children of node 999"),
             ("forest", "not one binary tree"),
             ("misnumbered", "has id"),
+            ("bridge_weight", "weight differs from the graph"),
         ],
     )
     def test_bad_plan_file_exit_two(self, tmp_path, capsys, damage, message):
@@ -123,6 +124,8 @@ class TestFactorizeCmd:
             data["tree"].pop()  # the root goes; its two subtrees stay
         elif damage == "misnumbered":
             data["tree"][0]["id"], data["tree"][1]["id"] = 1, 0
+        elif damage == "bridge_weight":
+            next(iter(data["interfaces"].values()))[0][2] += 1.0
         plan_path.write_text(text[: len(text) // 2] if damage == "cut_bytes"
                              else json.dumps(data))
         capsys.readouterr()
@@ -301,6 +304,8 @@ class TestFilterCmd:
             ("text_zhat", "malformed transform file"),
             ("short_level_lambdas", "level_lambdas"),
             ("origin_index", "origins has an index outside"),
+            ("origin_past_end", "malformed transform file (IndexError"),
+            ("zero_column_norm", "column_norms are not all positive"),
             ("nan_zhat", "NaN or inf"),
             ("bogus_kind", "kind 'bogus'"),
         ],
@@ -336,7 +341,12 @@ class TestFilterCmd:
             node = str(data["history"][0]["node_id"])
             data["level_lambdas"][node] = data["level_lambdas"][node][:-1]
         elif damage == "origin_index":
+            factor["solution"]["origins"][0] = -1
+        elif damage == "origin_past_end":
+            # the column signs are derived from the roots as the file loads
             factor["solution"]["origins"][0] = 999
+        elif damage == "zero_column_norm":
+            factor["column_norms"][0] = 0.0
         elif damage == "nan_zhat":
             factor["zhat"][0] = float("nan")
         elif damage == "bogus_kind":

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cauchygft.factorization import factorize
-from cauchygft.graph import barabasi_albert
+from cauchygft.graph import Graph, barabasi_albert
 from cauchygft.plan import plan_from_leaves
 
 TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -44,3 +44,17 @@ def test_one_ulp_of_one_zhat_moves_steps_only(factor_digest):
     assert after["all"] != before["all"]
     for part in ("lambda_final", "leaf_bases", "level_lambdas"):
         assert after[part] == before[part]
+
+
+def test_one_ulp_of_one_reflector_moves_steps(factor_digest):
+    # the repeated pair of eigenvalue 1 of the two paths rotates at the root
+    g = Graph.from_edges(6, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0),
+                             (2, 3, 1e-40), (0, 5, 1.0)])
+    fact = factorize(g, plan_from_leaves(g, [[0, 1, 2], [3, 4, 5]]))
+    before = factor_digest.digests(fact)
+    (blk, *_) = [b for rec in fact.history for st in rec.steps
+                 for b in st.factor.householder_blocks]
+    blk.reflector[0] = np.nextafter(blk.reflector[0], np.inf)
+    after = factor_digest.digests(fact)
+    assert after["steps"] != before["steps"]
+    assert after["level_lambdas"] == before["level_lambdas"]

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cauchygft import factorization
-from cauchygft.errors import DimensionMismatch, PlanMismatch, TooLarge
+from cauchygft.errors import DimensionMismatch, PlanMismatch, TooLarge, ZeroDegreeNode
 from cauchygft.factorization import FactorizedGft, MergeRecord, MergeStep, factorize
 from cauchygft.filters import (
     FilterLayerConfig,
@@ -21,9 +21,9 @@ from cauchygft.plan import MergePlan, plan_from_leaves
 from cauchygft.secular import (
     _DENSE_CACHE_MAX,
     CauchyFactor,
-    DeflationRecord,
     HouseholderBlock,
     SecularSolution,
+    _cauchy_columns,
     rank_one_update_factor,
 )
 
@@ -230,9 +230,10 @@ class TestStructure:
             s0, s1 = plan.ranges[rec.node_id]
             assert (rec.start, rec.stop) == (s0, s1)
             for step in rec.steps:
-                assert step.factor.size == s1 - s0
-                if step.factor.affected.size:
-                    assert step.factor.affected.max() < s1 - s0
+                f = step.factor
+                if f.affected.size:
+                    assert f.affected.max() < s1 - s0
+                assert all(blk.stop <= s1 - s0 for blk in f.householder_blocks)
 
     def test_interface_order_independence(self):
         g = barabasi_albert(100, 2, seed=37)
@@ -253,6 +254,55 @@ class TestStructure:
         g2 = Graph.from_edges(40, g.edge_list() + [(0, 39, 1.0)])
         with pytest.raises(PlanMismatch):
             factorize(g2, plan)
+
+    @pytest.mark.parametrize(
+        "damage, error, message",
+        [
+            ("graph_n", PlanMismatch, "plan is for n=4, graph has n=5"),
+            ("leaf_repeats_node", PlanMismatch, "leaves do not partition"),
+            ("edge_twice", PlanMismatch, r"edge \(1, 2\) assigned to two interfaces"),
+            ("intra_leaf_bridge", PlanMismatch, r"intra-leaf edge \(0, 1\) also in an"),
+            ("weight", PlanMismatch, r"edge \(1, 2\) weight differs from the graph"),
+            ("absent_edge", PlanMismatch, r"not present in graph: \[\(0, 3\)\]"),
+            ("kind", PlanMismatch, "unknown Laplacian kind 'bogus'"),
+            ("isolated_normalized", ZeroDegreeNode, "node 3"),
+            ("level_lambdas", PlanMismatch, "level_lambdas does not cover"),
+            ("reflector", PlanMismatch, "reflector outside 4 positions"),
+        ],
+    )
+    def test_plan_or_transform_that_does_not_fit_refused(self, damage, error, message):
+        # path 0-1-2-3 over leaves [0, 1] and [2, 3]; node 2 owns bridge (1, 2)
+        edges = [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)]
+        g = Graph.from_edges(4, edges)
+        data = plan_from_leaves(g, [[0, 1], [2, 3]]).to_dict()
+        kind = "combinatorial"
+        if damage == "graph_n":
+            g = Graph.from_edges(5, edges)
+        elif damage == "leaf_repeats_node":
+            data["leaves"][1] = [1, 3]
+        elif damage == "edge_twice":
+            data["interfaces"]["2"].append([2, 1, 1.0])
+        elif damage == "intra_leaf_bridge":
+            data["interfaces"]["0"] = [[0, 1, 1.0]]
+        elif damage == "weight":
+            data["interfaces"]["2"][0][2] = 2.0
+        elif damage == "absent_edge":
+            data["interfaces"]["2"].append([0, 3, 1.0])
+        elif damage == "kind":
+            kind = "bogus"
+        elif damage == "isolated_normalized":
+            g, kind = Graph.from_edges(4, edges[:2]), "normalized"
+            data = plan_from_leaves(g, [[0, 1], [2, 3]]).to_dict()
+        with pytest.raises(error, match=message):
+            fact = factorize(g, MergePlan.from_dict(data), kind)
+            saved = json.loads(json.dumps(fact.to_dict()))
+            if damage == "level_lambdas":
+                del saved["level_lambdas"]["0"]
+            elif damage == "reflector":
+                saved["history"][0]["steps"][0]["factor"]["householder_blocks"] = [
+                    {"start": 2, "stop": 5, "reflector": [1.0, 0.0, 0.0], "first_sign": 1.0}
+                ]
+            FactorizedGft.from_dict(saved)
 
 
 class TestDegenerateSpectra:
@@ -336,7 +386,16 @@ class TestSerialization:
         assert any(st.factor.affected.size == 0 for st in steps)
         path = tmp_path / "f.json"
         f.save(str(path))
-        assert "lambda_new" not in path.read_text()
+        data = json.loads(path.read_text())
+        assert "lambda_final" not in data
+        for step in (st for rec in data["history"] for st in rec["steps"]):
+            assert set(step) == {"perm", "factor"}
+            assert set(step["factor"]) == {
+                "solution", "affected", "householder_blocks", "zhat", "column_norms"
+            }
+            assert set(step["factor"]["solution"]) == {
+                "lambda_old", "z", "rho", "origins", "offsets"
+            }
         loaded = FactorizedGft.load(str(path))
         seen = set()
 
@@ -363,18 +422,27 @@ class TestSerialization:
         same(f, loaded, "transform")
         assert seen >= {
             FactorizedGft, MergeRecord, MergeStep, CauchyFactor,
-            SecularSolution, DeflationRecord, HouseholderBlock,
+            SecularSolution, HouseholderBlock,
         }
         (empty,) = [st.factor for rec in loaded.history for st in rec.steps
                     if st.factor.affected.size == 0]
         assert empty.affected.dtype == empty.solution.origins.dtype == np.int64
         x = np.random.default_rng(5).standard_normal((6, 3))
         assert np.array_equal(f.forward(x), loaded.forward(x))
+        for a, b in zip(steps, (st for rec in loaded.history for st in rec.steps)):
+            assert a.factor.column_signs.tobytes() == b.factor.column_signs.tobytes()
 
     def test_version_one_file_refused(self):
         data = self.deflating_transform().to_dict()
         data["version"] = 1
         with pytest.raises(PlanMismatch, match="version 1"):
+            FactorizedGft.from_dict(data)
+
+    def test_version_two_file_refused(self):
+        # version 2 stored each step's deflation report and lambda_final
+        data = self.deflating_transform().to_dict()
+        data["version"] = 2
+        with pytest.raises(PlanMismatch, match="version 2, expected 3"):
             FactorizedGft.from_dict(data)
 
     @pytest.mark.parametrize(
@@ -385,6 +453,8 @@ class TestSerialization:
             ("nan_leaf_basis", "NaN or inf"),
             ("inf_reflector", "NaN or inf"),
             ("bogus_kind", "kind 'bogus' is not a Laplacian kind"),
+            ("repeated_affected", "affected is not strictly increasing"),
+            ("zero_column_norm", "column_norms are not all positive"),
         ],
     )
     def test_nonfinite_array_or_unknown_kind_refused(self, damage, message):
@@ -392,15 +462,20 @@ class TestSerialization:
         factors = [st["factor"] for rec in data["history"] for st in rec["steps"]]
         if damage == "nan_zhat":
             next(fc for fc in factors if fc["zhat"])["zhat"][0] = math.nan
-        elif damage == "inf_lambda_final":
-            data["lambda_final"][-1] = math.inf
+        elif damage == "inf_lambda_final":  # the root node's spectrum
+            data["level_lambdas"][str(len(data["plan"]["tree"]) - 1)][-1] = math.inf
         elif damage == "nan_leaf_basis":
             data["leaf_bases"][1][0][0] = math.nan
         elif damage == "inf_reflector":
-            blocks = [b for fc in factors for b in fc["deflation"]["householder_blocks"]]
+            blocks = [b for fc in factors for b in fc["householder_blocks"]]
             blocks[0]["reflector"][0] = -math.inf
         elif damage == "bogus_kind":
             data["kind"] = "bogus"
+        elif damage == "repeated_affected":
+            affected = next(fc for fc in factors if len(fc["affected"]) > 1)["affected"]
+            affected[1] = affected[0]
+        elif damage == "zero_column_norm":
+            next(fc for fc in factors if fc["column_norms"])["column_norms"][0] = 0.0
         with pytest.raises(PlanMismatch, match=message):
             FactorizedGft.from_dict(data)
 
@@ -506,9 +581,14 @@ class TestRecordOperators:
         lam = np.sort(rng.uniform(0.0, 4.0, m))
         factor, _ = rank_one_update_factor(lam, rng.standard_normal(m), 0.8)
         assert factor.affected.size == m
-        assert not factor.deflation.householder_blocks
+        assert not factor.householder_blocks
         x = rng.standard_normal((m, 5))
-        assert factor.apply(x).tobytes() == (factor.cauchy_matrix().T @ x).tobytes()
+        sol = factor.solution
+        c = _cauchy_columns(sol.lambda_old, sol.origins, sol.offsets, factor.zhat,
+                            factor.column_norms, factor.column_signs, np.arange(m))
+        y = x.copy()
+        factor.apply_inplace(y)
+        assert y.tobytes() == (c.T @ x).tobytes()
 
     def test_concurrent_first_forward_builds_each_operator_once(self, monkeypatch):
         f = self.default_plan_transform()

@@ -5,8 +5,8 @@ Builds each graph and plan exactly as an untraced benchmark run does
 imported read-only), factorizes it, and prints one JSON line per plan with
 the sha256 of `lambda_final`, of the leaf bases, of `level_lambdas` and of
 every step's arrays (affected, origins, offsets, lambda_old, zhat, column
-norms and signs, perm, dropped and rotated indices, reflectors). Each line
-also carries the plan's `content_hash()`, which covers the sampled bridge
+norms and signs, perm, reflectors): what a factor keeps. Each line also
+carries the plan's `content_hash()`, which covers the sampled bridge
 weights, so a change in the resistance sketch shows where its output lands,
 and `plan_json`, the sha256 of `json.dumps(plan.to_dict())`: the text
 `MergePlan.save` writes, whose key order `content_hash` (keys sorted) misses.
@@ -47,11 +47,10 @@ def _feed(h, arr) -> None:
 
 def _step_arrays(step):
     f = step.factor
-    sol, dfl = f.solution, f.deflation
+    sol = f.solution
     yield from (f.affected, sol.origins, sol.offsets, sol.lambda_old, f.zhat)
     yield from (f.column_norms, f.column_signs, step.perm)
-    yield from (dfl.dropped_zero, dfl.rotated)
-    for blk in dfl.householder_blocks:
+    for blk in f.householder_blocks:
         yield np.array([blk.start, blk.stop])
         yield blk.reflector
         yield np.array([blk.first_sign])
