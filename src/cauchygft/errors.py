@@ -26,7 +26,7 @@ class ParseError(CauchyGftError):
 
 
 class ConvergenceFailure(CauchyGftError):
-    """The underlying dense symmetric eigensolver did not converge."""
+    """An eigensolver did not converge: dense eigh, or a Fiedler LOBPCG past the dense fallback."""
 
 
 class BracketFailure(CauchyGftError):

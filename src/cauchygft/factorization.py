@@ -215,10 +215,10 @@ class FactorizedGft:
 
         The version must be GFT_VERSION, the kind a Laplacian kind, the
         stored plan hash must match the stored plan and every array must
-        have the shape and index range that plan implies, with each step's
-        affected set strictly increasing and its column norms positive; a
-        missing or mistyped field, or a float array holding NaN or inf, is
-        reported the same way.
+        have the shape and index range that plan implies, with each tree
+        node's eigenvalues ascending, each step's affected set strictly
+        increasing and its column norms positive; a missing or mistyped
+        field, or a float array holding NaN or inf, is reported the same way.
         """
         try:
             version = data["version"]
@@ -240,7 +240,8 @@ class FactorizedGft:
 
     def _check_shapes(self) -> None:
         """PlanMismatch unless every array fits the plan: shapes, index
-        ranges, strictly increasing affected sets, positive column norms."""
+        ranges, ascending spectra, strictly increasing affected sets,
+        positive column norms."""
 
         def expect(what: str, got, want) -> None:
             if got != want:
@@ -264,6 +265,8 @@ class FactorizedGft:
         for nid, lam in self.level_lambdas.items():
             s0, s1 = plan.ranges[nid]
             expect(f"level_lambdas {nid}", lam.shape, (s1 - s0,))
+            if np.any(np.diff(lam) < 0.0):
+                raise PlanMismatch(f"level_lambdas {nid} is not ascending")
         for rec in self.history:
             where = f"merge record {rec.node_id}"
             expect(f"{where} range", (rec.start, rec.stop), plan.ranges.get(rec.node_id))
@@ -305,17 +308,6 @@ def _leaf_block(g: Graph, leaf: np.ndarray, kind: str, inv_sqrt_deg) -> np.ndarr
     return block
 
 
-def _bridge_vector(plan, u, v, w, kind, inv_sqrt_deg, n):
-    z = np.zeros(n)
-    if kind == NORMALIZED:
-        z[plan.node_to_pos[u]] = np.sqrt(w) * inv_sqrt_deg[u]
-        z[plan.node_to_pos[v]] = -np.sqrt(w) * inv_sqrt_deg[v]
-    else:
-        z[plan.node_to_pos[u]] = np.sqrt(w)
-        z[plan.node_to_pos[v]] = -np.sqrt(w)
-    return z
-
-
 def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> FactorizedGft:
     """Run the hierarchical merge and return the factorized transform.
 
@@ -341,63 +333,39 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
         leaf_bases.append(basis)
         level_lambdas[plan.leaf_node_id[i]] = lam
 
-    # projected bridge vectors, keyed by canonical edge; full length for
-    # simple range views (support only ever grows within subtree ranges);
-    # each leaves once its owner has solved it
-    zvecs: dict[tuple[int, int], np.ndarray] = {}
-    # carry[nid]: the bridges merge nid transforms, in zvecs order. A bridge
-    # is carried by every merge on the paths from its endpoints' leaves up
-    # to its owner; the owner solves it, the merges below only rotate it.
-    carry: dict[int, list[tuple[int, int]]] = {nd.id: [] for nd in plan.internal_nodes()}
-    for nid, edges in plan.interfaces.items():
-        for u, v, w in edges:
-            key = (min(u, v), max(u, v))
-            z = _bridge_vector(plan, u, v, w, kind, inv_sqrt_deg, n)
-            for node in (u, v):
-                li = int(plan.leaf_of[node])
-                s0, s1 = plan.ranges[plan.leaf_node_id[li]]
-                pos = int(plan.node_to_pos[node])
-                z[s0:s1] = leaf_bases[li][pos - s0, :] * z[pos]
-                up = plan.parent[plan.leaf_node_id[li]]
-                while up != nid:
-                    carry[up].append(key)
-                    up = plan.parent[up]
-            carry[nid].append(key)
-            zvecs[key] = z
+    # one full-length row per bridge (bridge_arrays order), in the current
+    # eigenbases: at first its two endpoint entries rotated by their leaves
+    u, v, w, filed = plan.bridge_arrays()
+    scale_u, scale_v = np.sqrt(w), -np.sqrt(w)
+    if kind == NORMALIZED:
+        scale_u, scale_v = scale_u * inv_sqrt_deg[u], scale_v * inv_sqrt_deg[v]
+    zvecs = np.zeros((u.size, n))
+    for ends, scale in ((u, scale_u), (v, scale_v)):
+        for i, basis in enumerate(leaf_bases):
+            rows = np.flatnonzero(plan.leaf_of[ends] == i)
+            s0, s1 = plan.ranges[plan.leaf_node_id[i]]
+            zvecs[rows, s0:s1] = basis[plan.node_to_pos[ends[rows]] - s0] * scale[rows, None]
+    carried = plan.carried()
 
     history: list[MergeRecord] = []
     for nd in plan.internal_nodes():
         nid = nd.id
         s0, s1 = plan.ranges[nid]
-        a, b = nd.children
         # one (r, pending) block per merge: each step acts on it, each solved
         # bridge leaves it, the rest go back to zvecs when the merge is done
-        keys = carry.pop(nid)
-        block = np.empty((s1 - s0, 0))
-        if keys:
-            block = np.stack([zvecs[k][s0:s1] for k in keys], axis=1)
-        lam = np.concatenate([level_lambdas[a], level_lambdas[b]])
+        keys = carried[nid]
+        block = zvecs[keys, s0:s1].T.copy()
+        lam = np.concatenate([level_lambdas[c] for c in nd.children])
         concat_perm: np.ndarray | None = None
         if np.any(np.diff(lam) < 0.0):
             concat_perm = np.argsort(lam, kind="stable")
             lam = lam[concat_perm]
             block = block[concat_perm]
-        bridges = sorted(
-            plan.interfaces.get(nid, ()),
-            key=lambda e: (min(e[0], e[1]), max(e[0], e[1])),
-        )
+        owned = sorted((k for k in keys if filed[k] == nid), key=lambda k: sorted((u[k], v[k])))
         steps: list[MergeStep] = []
-        for u, v, w in bridges:
-            key = (min(u, v), max(u, v))
-            j = keys.index(key)
-            z = zvecs.pop(key)
-            z[s0:s1] = block[:, j]
-            outside = np.linalg.norm(z[:s0]) + np.linalg.norm(z[s1:])
-            if outside > 1e-10 * max(1.0, np.linalg.norm(z)):
-                raise PlanMismatch(
-                    f"bridge ({u},{v}) has spectral mass outside its merge range"
-                )
-            factor, lam_unsorted = rank_one_update_factor(lam, z[s0:s1], rho=1.0)
+        for k in owned:
+            j = keys.index(k)
+            factor, lam_unsorted = rank_one_update_factor(lam, block[:, j].copy(), rho=1.0)
             perm: np.ndarray | None = None
             if np.any(np.diff(lam_unsorted) < 0.0):
                 perm = np.argsort(lam_unsorted, kind="stable")
@@ -411,8 +379,7 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
                 # one batched apply beats per-edge matvecs for wide interfaces
                 step.apply_forward(block)
             steps.append(step)
-        for j, k in enumerate(keys):
-            zvecs[k][s0:s1] = block[:, j]
+        zvecs[keys, s0:s1] = block.T
         level_lambdas[nid] = lam
         history.append(
             MergeRecord(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, lobpcg
 
-from .errors import Disconnected, InvalidParams
+from .errors import ConvergenceFailure, Disconnected, InvalidParams
 from .graph import Graph, build_laplacian, dense_eig
 from .plan import MergePlan, PlanNode
 from .sparsify import SparsifyPolicy, apply_policy
@@ -58,9 +58,10 @@ def fiedler_vector(g: Graph, seed: int = 0) -> np.ndarray:
 
     LOBPCG (block size 2, Jacobi preconditioner, constant null vector
     deflated, _FIEDLER_ITERS iterations) with a dense fallback for small
-    blocks and for non-converged mid-size ones; very large non-converged
-    blocks return the best iterate with a warning, since bisection only
-    needs the sign structure.
+    blocks and for failed or non-converged ones up to _DENSE_FALLBACK_N
+    nodes. A larger non-converged block returns the best iterate with a
+    warning, since bisection only needs the sign structure; a larger block
+    whose LOBPCG raised leaves none and raises ConvergenceFailure.
     """
     if g.n < 2:
         raise InvalidParams("Fiedler vector needs at least two nodes")
@@ -97,21 +98,18 @@ def fiedler_vector(g: Graph, seed: int = 0) -> np.ndarray:
                     maxiter=_FIEDLER_ITERS,
                     tol=1e-10 * max(1.0, float(diag.max())),
                 )
-            except Exception:
+            except ValueError:  # numpy's LinAlgError included
                 vals, vecs = None, None
-        if vecs is None:
-            if g.n <= _DENSE_FALLBACK_N:
-                return _finalize_fiedler(dense_path(), null)
-            warnings.warn("Fiedler LOBPCG failed; returning the deflated start")
-            return _finalize_fiedler(x0[:, 0], null)
-        pick = int(np.argmin(vals))
-        v = vecs[:, pick]
-        res = np.linalg.norm(mat @ v - vals[pick] * v) / max(
-            abs(float(vals[pick])), 1e-30
-        )
+        res = np.inf
+        if vecs is not None:
+            pick = int(np.argmin(vals))
+            v = vecs[:, pick]
+            res = np.linalg.norm(mat @ v - vals[pick] * v) / max(abs(float(vals[pick])), 1e-30)
         if res > 5e-2:
             if g.n <= _DENSE_FALLBACK_N:
                 v = dense_path()
+            elif vecs is None:
+                raise ConvergenceFailure(f"Fiedler LOBPCG left no iterate on {g.n} nodes")
             else:
                 warnings.warn(
                     f"Fiedler LOBPCG residual {res:.2e} after {_FIEDLER_ITERS} "

@@ -3,11 +3,11 @@
 A plan orders the graph's nodes into contiguous leaf blocks and fixes a
 binary tree over the leaves. The tree is a list in children-first order:
 entry i has id i, an internal node's children come before it and the last
-entry is the root. Each tree node's position range and parent are derived
-from that list once. Every edge is either internal to one leaf or assigned
-to exactly one interface: its owner, the lowest tree node whose range holds
-both endpoints. Interface size k (max bridges per merge) is what the
-factorization cost scales with.
+entry is the root. Each tree node's position range is derived from that
+list once. Every edge is either internal to one leaf or assigned to exactly
+one interface: its owner, the lowest tree node whose range holds both
+endpoints. Merges below the owner only rotate the bridge. Interface size k
+(max bridges per merge) is what the factorization cost scales with.
 
 A plan is saved as its fields through the codec behind a "version" key;
 `content_hash` is taken over that text.
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import I64, fields_from_dict, fields_to_dict
+from .codec import F64, I64, fields_from_dict, fields_to_dict
 from .errors import PlanMismatch
 from .graph import Graph
 
@@ -60,18 +60,18 @@ class MergePlan:
         self.leaf_of = -np.ones(self.n, dtype=np.int64)
         for i, lv in enumerate(self.leaves):
             self.leaf_of[np.asarray(lv)] = i
-        # contiguous position range, parent and depth per tree node, bottom-up
+        # contiguous position range and depth per tree node, bottom-up
         offsets = np.concatenate(
             [[0], np.cumsum([len(lv) for lv in self.leaves])]
         )
         self.ranges: dict[int, tuple[int, int]] = {}
-        self.parent: dict[int, int | None] = {}
         self.leaf_node_id: dict[int, int] = {}
+        parent: dict[int, int | None] = {}
         depth: dict[int, int] = {}
         for nid, nd in enumerate(self.tree):
             if nd.id != nid:
                 raise PlanMismatch(f"tree entry {nid} has id {nd.id}")
-            self.parent[nid] = None
+            parent[nid] = None
             if nd.children is None:
                 if nd.leaf in self.leaf_node_id or not 0 <= nd.leaf < len(self.leaves):
                     raise PlanMismatch(f"tree node {nid} names leaf {nd.leaf}, unknown or taken")
@@ -81,16 +81,16 @@ class MergePlan:
                 continue
             for c in nd.children:
                 # missing (not an earlier node) or already claimed
-                if self.parent.get(c, nid) is not None:
+                if parent.get(c, nid) is not None:
                     raise PlanMismatch(f"tree node {nid} cannot take node {c} as a child")
-                self.parent[c] = nid
+                parent[c] = nid
             a, b = nd.children
             if self.ranges[a][1] != self.ranges[b][0]:
                 raise PlanMismatch("child blocks are not adjacent")
             self.ranges[nid] = (self.ranges[a][0], self.ranges[b][1])
             depth[nid] = 1 + max(depth[a], depth[b])
         self.root_id = len(self.tree) - 1
-        roots = [nid for nid, up in self.parent.items() if up is None]
+        roots = [nid for nid, up in parent.items() if up is None]
         if (
             roots != [self.root_id]
             or len(self.leaf_node_id) != len(self.leaves)
@@ -112,13 +112,39 @@ class MergePlan:
         """Internal nodes children-first (the merge execution order)."""
         return [nd for nd in self.tree if nd.children is not None]
 
+    def bridge_arrays(self) -> tuple[I64, I64, F64, I64]:
+        """Every interface edge in interface order: u, v, w and the node it is filed under."""
+        rows = [(u, v, nid) for nid, es in self.interfaces.items() for u, v, _ in es]
+        u, v, filed = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+        w = np.array([w for es in self.interfaces.values() for _, _, w in es], dtype=np.float64)
+        return u, v, w, filed
+
+    def _holds(self, nodes: np.ndarray) -> np.ndarray:
+        """(len(nodes), tree size) mask: tree node j's range holds nodes[i]'s position."""
+        bounds = np.array(list(self.ranges.values()), dtype=np.int64).reshape(-1, 2)
+        pos = self.node_to_pos[nodes][:, None]
+        return (bounds[:, 0] <= pos) & (pos < bounds[:, 1])
+
+    def owners(self, u: np.ndarray, v: np.ndarray) -> I64:
+        """Per pair, the lowest tree node whose range holds both positions:
+        ids run children first, so the first such id."""
+        return (self._holds(u) & self._holds(v)).argmax(axis=1)
+
     def owner(self, u: int, v: int) -> int:
-        """The lowest tree node whose position range holds both u and v."""
-        pos = self.node_to_pos[v]
-        nid = self.leaf_node_id[int(self.leaf_of[u])]
-        while not self.ranges[nid][0] <= pos < self.ranges[nid][1]:
-            nid = self.parent[nid]
-        return nid
+        """owners() for one pair."""
+        return int(self.owners(np.array([u]), np.array([v]))[0])
+
+    def carried(self) -> dict[int, list[int]]:
+        """Per merge id, the bridges it transforms, as indices into bridge_arrays().
+
+        A merge carries a bridge when it owns it (and solves it) or holds
+        exactly one endpoint's position (and only rotates it).
+        """
+        u, v, _, _ = self.bridge_arrays()
+        hold_u, hold_v = self._holds(u), self._holds(v)
+        carries = hold_u ^ hold_v
+        carries[np.arange(u.size), self.owners(u, v)] = True
+        return {nd.id: np.flatnonzero(carries[:, nd.id]).tolist() for nd in self.internal_nodes()}
 
     def validate(self, g: Graph) -> None:
         """Check the plan covers g exactly; raise PlanMismatch otherwise."""
@@ -127,34 +153,33 @@ class MergePlan:
         cover = np.sort(self.pos_to_node)
         if not np.array_equal(cover, np.arange(self.n)):
             raise PlanMismatch("leaves do not partition the node set")
-        assigned: dict[tuple[int, int], float] = {}
-        for nid, edges in self.interfaces.items():
-            for u, v, w in edges:
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise PlanMismatch(f"edge ({u},{v}) has an endpoint outside the graph")
-                if self.owner(u, v) != nid:
-                    raise PlanMismatch(
-                        f"edge ({u},{v}) does not cross the children of node {nid}"
-                    )
-                key = (min(u, v), max(u, v))
-                if key in assigned:
-                    raise PlanMismatch(f"edge {key} assigned to two interfaces")
-                assigned[key] = w
-        for u, v, w in zip(g.uu, g.vv, g.ww):
-            lu, lv = int(self.leaf_of[u]), int(self.leaf_of[v])
-            key = (int(u), int(v))
-            if lu == lv:
-                if key in assigned:
-                    raise PlanMismatch(f"intra-leaf edge {key} also in an interface")
-            else:
-                if key not in assigned:
-                    raise PlanMismatch(f"cross-leaf edge {key} not covered")
-                if assigned[key] != float(w):
-                    raise PlanMismatch(f"edge {key} weight differs from the graph")
-                del assigned[key]
-        leftovers = [k for k in assigned]
+        u, v, w, filed = self.bridge_arrays()
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        keys = list(zip(lo.tolist(), hi.tolist()))
+        if (b := _first((lo < 0) | (hi >= self.n))) is not None:
+            raise PlanMismatch(f"edge ({u[b]},{v[b]}) has an endpoint outside the graph")
+        if (b := _first(self.owners(u, v) != filed)) is not None:
+            raise PlanMismatch(
+                f"edge ({u[b]},{v[b]}) does not cross the children of node {filed[b]}"
+            )
+        code, g_code = lo * self.n + hi, g.uu * self.n + g.vv
+        order = np.argsort(code, kind="stable")
+        if (i := _first(code[order][1:] == code[order][:-1])) is not None:
+            b = order[i + 1]
+            raise PlanMismatch(f"edge {keys[b]} listed twice in the interface of node {filed[b]}")
+        hit = np.isin(code, g_code)
+        # graph edges are canonical and sorted, so g_code ascends
+        found, at = np.flatnonzero(hit), np.searchsorted(g_code, code[hit])
+        cross = self.leaf_of[g.uu] != self.leaf_of[g.vv]
+        if (i := _first(~cross[at])) is not None:
+            raise PlanMismatch(f"intra-leaf edge {keys[found[i]]} also in an interface")
+        if (e := _first(cross & ~np.isin(g_code, code))) is not None:
+            raise PlanMismatch(f"cross-leaf edge {(int(g.uu[e]), int(g.vv[e]))} not covered")
+        if (i := _first(w[hit] != g.ww[at])) is not None:
+            raise PlanMismatch(f"edge {keys[found[i]]} weight differs from the graph")
+        leftovers = [keys[b] for b in np.flatnonzero(~hit)[:3]]
         if leftovers:
-            raise PlanMismatch(f"interface edges not present in graph: {leftovers[:3]}")
+            raise PlanMismatch(f"interface edges not present in graph: {leftovers}")
 
     # -- serialization ------------------------------------------------------
 
@@ -190,6 +215,12 @@ class MergePlan:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """Index of the first True entry, or None."""
+    idx = np.flatnonzero(mask)
+    return int(idx[0]) if idx.size else None
+
+
 def read_json(path: str, what: str):
     """Parse a saved JSON file; PlanMismatch if it is cut short or not JSON."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -223,13 +254,14 @@ def plan_from_leaves(
             nxt.append(frontier[-1])
         frontier = nxt
     plan = MergePlan(n=g.n, leaves=leaves, tree=tree, interfaces={}, config=config or {})
-    owned: dict[int, list[tuple[int, int, float]]] = {}
-    for u, v, w in zip(g.uu, g.vv, g.ww):
-        if plan.leaf_of[u] != plan.leaf_of[v]:
-            owned.setdefault(plan.owner(u, v), []).append((int(u), int(v), float(w)))
-    plan.interfaces = {
-        nid: sorted(owned[nid], key=lambda e: (min(e[0], e[1]), max(e[0], e[1])))
-        for nid in sorted(owned)
-    }
+    # graph edges come sorted by (u, v), so a stable sort by owner keeps
+    # each interface in that order
+    cross = np.flatnonzero(plan.leaf_of[g.uu] != plan.leaf_of[g.vv])
+    owner = plan.owners(g.uu[cross], g.vv[cross])
+    order = np.argsort(owner, kind="stable")
+    for nid, e in zip(owner[order].tolist(), cross[order]):
+        plan.interfaces.setdefault(nid, []).append(
+            (int(g.uu[e]), int(g.vv[e]), float(g.ww[e]))
+        )
     plan.validate(g)
     return plan

@@ -1,6 +1,9 @@
-"""tools/factor_digest.py: equal factors give equal digests, one ulp shows."""
+"""tools/factor_digest.py: equal factors give equal digests, one ulp shows,
+and each line carries its work counts and whether they match the recorded ones."""
 
+import dataclasses
 import importlib.util
+import json
 import os
 
 import numpy as np
@@ -58,3 +61,24 @@ def test_one_ulp_of_one_reflector_moves_steps(factor_digest):
     after = factor_digest.digests(fact)
     assert after["steps"] != before["steps"]
     assert after["level_lambdas"] == before["level_lambdas"]
+
+
+def test_lines_carry_counts_and_their_recorded_match(factor_digest, monkeypatch, capsys):
+    small = dataclasses.replace(factor_digest.WORKLOADS["quickstart-500"], n=60, graphs=2)
+    monkeypatch.setattr(factor_digest, "WORKLOADS", {small.name: small})
+
+    def lines(seed):
+        factor_digest.main(["--workload", small.name, "--seed", str(seed)])
+        return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+    unrecorded = lines(99)  # counts.json has no seed 99
+    assert [line["counts_recorded"] for line in unrecorded] == [None, None]
+    counts = [line["counts"] for line in unrecorded]
+    assert set(counts[0]) == {"leaves", "bridges", "max_interface", "m2_sum"}
+    assert counts[0]["bridges"] > 0 and counts[0]["m2_sum"] > 0
+    recorded = [counts[0], {**counts[1], "m2_sum": counts[1]["m2_sum"] + 1}]
+    monkeypatch.setattr(factor_digest, "load_recorded",
+                        lambda name, seed: recorded if seed == 99 else None)
+    again = lines(99)
+    assert [line["counts_recorded"] for line in again] == [True, False]
+    assert [line["all"] for line in again] == [line["all"] for line in unrecorded]

@@ -260,13 +260,14 @@ class TestStructure:
         [
             ("graph_n", PlanMismatch, "plan is for n=4, graph has n=5"),
             ("leaf_repeats_node", PlanMismatch, "leaves do not partition"),
-            ("edge_twice", PlanMismatch, r"edge \(1, 2\) assigned to two interfaces"),
+            ("edge_twice", PlanMismatch, r"edge \(1, 2\) listed twice in the interface of node 2"),
             ("intra_leaf_bridge", PlanMismatch, r"intra-leaf edge \(0, 1\) also in an"),
             ("weight", PlanMismatch, r"edge \(1, 2\) weight differs from the graph"),
             ("absent_edge", PlanMismatch, r"not present in graph: \[\(0, 3\)\]"),
             ("kind", PlanMismatch, "unknown Laplacian kind 'bogus'"),
             ("isolated_normalized", ZeroDegreeNode, "node 3"),
             ("level_lambdas", PlanMismatch, "level_lambdas does not cover"),
+            ("lambda_edited", PlanMismatch, "level_lambdas 2 is not ascending"),
             ("reflector", PlanMismatch, "reflector outside 4 positions"),
         ],
     )
@@ -298,6 +299,8 @@ class TestStructure:
             saved = json.loads(json.dumps(fact.to_dict()))
             if damage == "level_lambdas":
                 del saved["level_lambdas"]["0"]
+            elif damage == "lambda_edited":
+                saved["level_lambdas"]["2"][1] = 7.0
             elif damage == "reflector":
                 saved["history"][0]["steps"][0]["factor"]["householder_blocks"] = [
                     {"start": 2, "stop": 5, "reflector": [1.0, 0.0, 0.0], "first_sign": 1.0}

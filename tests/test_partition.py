@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cauchygft.errors import Disconnected
+from cauchygft import partition
+from cauchygft.errors import ConvergenceFailure, Disconnected
 from cauchygft.factorization import factorize
 from cauchygft.graph import Graph, barabasi_albert, build_laplacian, dense_eig
 from cauchygft.partition import (
@@ -65,6 +66,54 @@ class TestFiedler:
     def test_determinism(self):
         g = barabasi_albert(200, 2, seed=5)
         assert np.array_equal(fiedler_vector(g, seed=3), fiedler_vector(g, seed=3))
+
+
+class TestFiedlerFailure:
+    """LOBPCG failures, on both sides of a patched dense fallback limit of 100."""
+
+    @pytest.fixture(autouse=True)
+    def fallback_limit(self, monkeypatch):
+        monkeypatch.setattr(partition, "_DENSE_FALLBACK_N", 100)
+
+    @staticmethod
+    def dense_fiedler(g):
+        _, u = dense_eig(build_laplacian(g))
+        v = u[:, 1] - u[:, 1].mean()
+        v /= np.linalg.norm(v)
+        return v if v[np.argmax(np.abs(v))] >= 0.0 else -v
+
+    @pytest.mark.parametrize(
+        "exc, n, error",
+        [
+            (ValueError, 90, None),
+            (np.linalg.LinAlgError, 90, None),
+            (np.linalg.LinAlgError, 110, ConvergenceFailure),
+            (TypeError, 90, TypeError),  # not a convergence failure: propagates
+        ],
+    )
+    def test_lobpcg_raises(self, monkeypatch, exc, n, error):
+        def broken(*args, **kwargs):
+            raise exc("no convergence")
+
+        monkeypatch.setattr(partition, "lobpcg", broken)
+        g = barabasi_albert(n, 2, seed=4)
+        if error is None:
+            assert np.allclose(fiedler_vector(g, seed=1), self.dense_fiedler(g), atol=1e-10)
+        else:
+            with pytest.raises(error, match="no iterate on 110 nodes|no convergence"):
+                fiedler_vector(g, seed=1)
+
+    @pytest.mark.parametrize("n, warns", [(90, False), (110, True)])
+    def test_residual_miss(self, monkeypatch, n, warns):
+        # the seeded start is a poor iterate: dense below the limit, kept above
+        monkeypatch.setattr(partition, "lobpcg", lambda mat, x0, **kw: (np.ones(2), x0))
+        g = barabasi_albert(n, 2, seed=4)
+        if warns:
+            with pytest.warns(UserWarning, match="returning best iterate"):
+                v = fiedler_vector(g, seed=1)
+            assert not np.allclose(np.abs(v), np.abs(self.dense_fiedler(g)), atol=1e-3)
+        else:
+            assert np.allclose(fiedler_vector(g, seed=1), self.dense_fiedler(g), atol=1e-10)
 
 
 class TestBisect:

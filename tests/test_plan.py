@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
 from cauchygft.errors import PlanMismatch
 from cauchygft.factorization import factorize
-from cauchygft.graph import Graph
+from cauchygft.graph import Graph, barabasi_albert
+from cauchygft.partition import build_plan
 from cauchygft.plan import MergePlan, PlanNode, plan_from_leaves
+from cauchygft.sparsify import SparsifyPolicy
 
 # json.dumps(plan.to_dict()) and content_hash() of pinned_plan(): the saved
 # plan text, and so every stored plan hash, must not move
@@ -118,3 +121,79 @@ class TestMalformedPlans:
         data["interfaces"]["4"].append([0, 7, 1.0])
         with pytest.raises(PlanMismatch, match="outside the graph"):
             MergePlan.from_dict(data).validate(pinned_graph())
+
+
+def walk_owner(plan, parent, u, v):
+    """Reference: climb from u's leaf until the node's range holds v."""
+    pos = plan.node_to_pos[v]
+    nid = plan.leaf_node_id[int(plan.leaf_of[u])]
+    while not plan.ranges[nid][0] <= pos < plan.ranges[nid][1]:
+        nid = parent[nid]
+    return nid
+
+
+def walk_carry(plan, parent):
+    """Reference: each bridge is carried by every merge on the paths from
+    its endpoints' leaves up to its owner, and by the owner; keys per merge
+    in interface order."""
+    carry = {nd.id: [] for nd in plan.internal_nodes()}
+    for nid, edges in plan.interfaces.items():
+        for u, v, _ in edges:
+            key = (min(u, v), max(u, v))
+            for node in (u, v):
+                up = parent[plan.leaf_node_id[int(plan.leaf_of[node])]]
+                while up != nid:
+                    carry[up].append(key)
+                    up = parent[up]
+            carry[nid].append(key)
+    return carry
+
+
+def flipped(plan):
+    """The same plan with every interface edge listed as (v, u)."""
+    return MergePlan(
+        n=plan.n, leaves=plan.leaves, tree=plan.tree,
+        interfaces={nid: [(v, u, w) for u, v, w in es] for nid, es in plan.interfaces.items()},
+    )
+
+
+@pytest.fixture(scope="module")
+def rule_plans():
+    """Graph and plan per case: default and paper recipes, hand cuts."""
+    out = {}
+    for n, seed in [(200, 0), (200, 3), (300, 11)]:
+        g = barabasi_albert(n, 2, seed=seed)
+        out[f"default-{n}-{seed}"] = (g, build_plan(g, seed=seed).plan)
+    res = build_plan(barabasi_albert(160, 2, seed=0), force_levels=2, max_levels=2,
+                     sparsify=SparsifyPolicy(target_count=5), seed=0)
+    out["paper-160-0"] = (res.graph, res.plan)
+    g = barabasi_albert(90, 2, seed=7)
+    cuts = [range(0, 7), range(7, 30), range(30, 31), range(31, 62), range(62, 90)]
+    hand = plan_from_leaves(g, [list(c) for c in cuts])
+    out["hand-5-leaves"] = (g, hand)
+    out["hand-5-leaves-flipped"] = (g, flipped(hand))
+    out["pinned-flipped"] = (pinned_graph(), flipped(pinned_plan()))
+    return out
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["default-200-0", "default-200-3", "default-300-11", "paper-160-0",
+     "hand-5-leaves", "hand-5-leaves-flipped", "pinned-flipped"],
+)
+def test_range_rule_matches_parent_walk(rule_plans, case):
+    g, plan = rule_plans[case]
+    plan.validate(g)
+    parent = {c: nd.id for nd in plan.tree if nd.children for c in nd.children}
+    u, v, w, filed = plan.bridge_arrays()
+    assert u.size == plan.total_bridges > 0
+    walked = [walk_owner(plan, parent, a, b) for a, b in zip(u, v)]
+    assert plan.owners(u, v).tolist() == walked == filed.tolist()
+    # pairs inside one leaf and across leaves, both ways round
+    rng = np.random.default_rng(0)
+    for a, b in rng.integers(0, plan.n, size=(200, 2)):
+        assert plan.owner(a, b) == plan.owner(b, a) == walk_owner(plan, parent, a, b)
+    keys = [(int(min(a, b)), int(max(a, b))) for a, b in zip(u, v)]
+    carried = {nid: [keys[k] for k in ks] for nid, ks in plan.carried().items()}
+    want = walk_carry(plan, parent)
+    assert [*carried] == [*want] and carried == want

@@ -11,7 +11,10 @@ weights, so a change in the resistance sketch shows where its output lands,
 and `plan_json`, the sha256 of `json.dumps(plan.to_dict())`: the text
 `MergePlan.save` writes, whose key order `content_hash` (keys sorted) misses.
 Two checkouts whose lines match produced the same plans and factors bit for
-bit.
+bit. Each line also gives the plan's work counts (`plan_counts` in
+`perfbench/workload.py`) and `counts_recorded`: whether they equal that
+graph's entry in `perfbench/counts.json`, or null where the seed has none.
+So a bits-and-counts check needs no timed benchmark run.
 
     PYTHONPATH=src python3 tools/factor_digest.py --workload quickstart-500 --seed 0 1
     PYTHONPATH=src python3 tools/factor_digest.py --workload all --seed 0
@@ -30,7 +33,9 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from workload import WORKLOADS, graph_seeds, make_plan  # noqa: E402
+from workload import (  # noqa: E402
+    WORKLOADS, graph_seeds, load_recorded, make_plan, plan_counts,
+)
 
 from cauchygft import barabasi_albert, factorize  # noqa: E402
 
@@ -87,15 +92,19 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         w = WORKLOADS[name]
         for seed in args.seed:
-            for s in graph_seeds(seed, w.graphs):
+            recorded = load_recorded(name, seed)
+            for i, s in enumerate(graph_seeds(seed, w.graphs)):
                 res = make_plan(barabasi_albert(w.n, 2, s), w.recipe, s)
                 fact = factorize(res.graph, res.plan)
+                counts = plan_counts(res.plan, fact)
                 line = {"workload": name, "seed": seed, "graph_seed": s,
                         "plan_hash": res.plan.content_hash(),
                         "plan_json": hashlib.sha256(
                             json.dumps(res.plan.to_dict()).encode()).hexdigest(),
                         "step_count": sum(len(r.steps) for r in fact.history),
-                        **digests(fact)}
+                        **digests(fact), "counts": counts,
+                        "counts_recorded": None if recorded is None
+                        else counts == recorded[i]}
                 print(json.dumps(line), flush=True)
     return 0
 
