@@ -59,7 +59,6 @@ from .filters import (
     FilterLayerConfig,
     apply_layer,
     eval_bank,
-    euler_step,
     heat_filter,
     hierarchical_mix,
     poly_filter,

@@ -22,11 +22,14 @@ from .codec import F64, I64, fields_from_dict, fields_to_dict
 from .errors import DimensionMismatch, PlanMismatch, TooLarge, ZeroDegreeNode
 from .graph import COMBINATORIAL, NORMALIZED, Graph, build_laplacian, dense_eig
 from .plan import MergePlan, read_json
-from .secular import _DENSE_CACHE_MAX, CauchyFactor, rank_one_update_factor
+from .secular import CauchyFactor, rank_one_update_factor
 
 GFT_VERSION = 3
 # largest n whose operator reconstruct_operator materializes densely
 DENSE_LIMIT = 2048
+# widest merge record (positions) that is served through one dense operator:
+# below it rebuilding every Cauchy block per call costs more than the multiply
+_DENSE_CACHE_MAX = 512
 
 
 def _unpermute(view: np.ndarray, perm: np.ndarray) -> None:
@@ -162,7 +165,7 @@ class FactorizedGft:
     def _walk_forward(self, arr: np.ndarray, scales: dict[int, np.ndarray]) -> np.ndarray:
         """U^T arr for (n, c) rows; tree node nid's spectrum is multiplied by
         scales[nid] (one entry per position) right after its transform."""
-        y = arr[self.plan.pos_to_node].copy()
+        y = arr[self.plan.pos_to_node]
         for i, basis in enumerate(self.leaf_bases):
             nid = self.plan.leaf_node_id[i]
             s0, s1 = self.plan.ranges[nid]

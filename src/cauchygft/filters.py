@@ -281,19 +281,3 @@ def apply_layer(
     spec = hierarchical_mix(f, cfg, arr)
     out = f.inverse(cfg.global_filter(f.lambda_final)[:, None] * spec)
     return out[:, 0] if vec else out
-
-
-def euler_step(
-    f: FactorizedGft,
-    cfg: FilterLayerConfig,
-    x: np.ndarray,
-    step_size: float,
-    weight: np.ndarray | None = None,
-) -> np.ndarray:
-    """One explicit Euler update x + eps * layer(x) W with a fixed weight."""
-    arr, vec = f._check_rows(x)
-    update = apply_layer(f, cfg, arr)
-    if weight is not None:
-        update = update @ np.asarray(weight, dtype=np.float64)
-    out = arr + step_size * update
-    return out[:, 0] if vec else out

@@ -81,11 +81,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.uu.size)
 
-    def edge_list(self) -> list[tuple[int, int, float]]:
-        return [
-            (int(u), int(v), float(w)) for u, v, w in zip(self.uu, self.vv, self.ww)
-        ]
-
     def degrees(self) -> np.ndarray:
         """Weighted degree per node (self-loops excluded)."""
         d = np.zeros(self.n, dtype=np.float64)

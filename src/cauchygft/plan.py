@@ -130,10 +130,6 @@ class MergePlan:
         ids run children first, so the first such id."""
         return (self._holds(u) & self._holds(v)).argmax(axis=1)
 
-    def owner(self, u: int, v: int) -> int:
-        """owners() for one pair."""
-        return int(self.owners(np.array([u]), np.array([v]))[0])
-
     def carried(self) -> dict[int, list[int]]:
         """Per merge id, the bridges it transforms, as indices into bridge_arrays().
 
@@ -230,11 +226,7 @@ def read_json(path: str, what: str):
             raise PlanMismatch(f"{what} file {path} is not valid JSON ({exc})") from exc
 
 
-def plan_from_leaves(
-    g: Graph,
-    leaf_sets: list,
-    config: dict | None = None,
-) -> MergePlan:
+def plan_from_leaves(g: Graph, leaf_sets: list) -> MergePlan:
     """Plan with the given leaves and a balanced left-to-right merge tree.
 
     Cross-leaf edges are assigned to the tree node where their leaf subtrees
@@ -253,7 +245,7 @@ def plan_from_leaves(
         if len(frontier) % 2:
             nxt.append(frontier[-1])
         frontier = nxt
-    plan = MergePlan(n=g.n, leaves=leaves, tree=tree, interfaces={}, config=config or {})
+    plan = MergePlan(n=g.n, leaves=leaves, tree=tree, interfaces={})
     # graph edges come sorted by (u, v), so a stable sort by owner keeps
     # each interface in that order
     cross = np.flatnonzero(plan.leaf_of[g.uu] != plan.leaf_of[g.vv])

@@ -42,13 +42,10 @@ _CHUNK_ELEMS = 4_000_000
 # streaming through DRAM on every pass. Each element and each row reduction
 # is computed on its own, so this size moves speed, never bits.
 _BLOCK_ELEMS = 1 << 16
-# largest pole count whose split sums use the 0/1 mask (einsum) path; its
-# mask rows come from one m x m float64 staircase per solve, 8 m^2 bytes
-# (8 MiB at this limit)
+# largest pole count whose split sums use the 0/1 mask (einsum) path. The
+# two paths round differently and perfbench/counts.json pins the work of
+# both, so the limit stays where the counts were recorded
 _MASK_MAX_M = 1024
-# widest merge record (positions) that is served through one dense operator:
-# below it rebuilding every Cauchy block per call costs more than the multiply
-_DENSE_CACHE_MAX = 512
 # guarded rational-model steps per secular root, then as many bisection
 # sweeps before a root still open raises BracketFailure
 _MODEL_STEPS = 100
@@ -248,16 +245,15 @@ def deflate(lam: np.ndarray, z: np.ndarray, rho: float = 1.0) -> DeflationRecord
 # secular roots
 
 
-def _split_sums(d, zeta, origins, tau, p_left, stair=None):
+def _split_sums(d, zeta, origins, tau, p_left):
     """psi/phi value+derivative sums at mu = d[origins] + tau, split at p_left.
 
     psi covers terms i <= p_left, phi the rest; derivatives are wrt mu. The
     split halves only steer the rational model. Up to _MASK_MAX_M poles psi
-    comes from einsum against a 0/1 mask and phi is the pairwise row total
-    minus psi; above it both are segment sums of one reduceat over the row
-    block. The mask row of split p is row p of `stair` = np.tri(m), built once
-    per solve by the caller: a row block whose splits run p0, p0 + 1, ...
-    reads the view stair[p0 : p0 + r], any other block gathers its rows.
+    comes from einsum against a 0/1 mask (row k holds 1 in columns up to
+    p_left[k]) and phi is the pairwise row total minus psi; above it both
+    are segment sums of one reduceat over the row block. The two paths
+    round differently, so the limit is part of every recorded factor.
 
     Roots are swept in row blocks of about _BLOCK_ELEMS elements whose few
     temporaries stay cache resident. Every root's row is reduced on its own,
@@ -276,6 +272,7 @@ def _split_sums(d, zeta, origins, tau, p_left, stair=None):
     t2 = np.empty((rows, m))
     if m <= _MASK_MAX_M:
         mask = np.empty((rows, m))
+        cols = np.arange(m)
     else:
         bounds = np.empty(2 * rows, dtype=np.intp)
         row_starts = np.arange(rows) * m
@@ -288,13 +285,7 @@ def _split_sums(d, zeta, origins, tau, p_left, stair=None):
         np.divide(zeta[None, :], dl, out=tl)
         np.divide(tl, dl, out=t2l)
         if m <= _MASK_MAX_M:
-            pl = p_left[sl]
-            if np.all(pl[1:] - pl[:-1] == 1):
-                ml = stair[pl[0] : pl[0] + r]
-            else:
-                # splits are in range; "clip" skips the buffered copy that
-                # the default mode makes of an out= take
-                ml = np.take(stair, pl, axis=0, out=mask[:r], mode="clip")
+            ml = np.less_equal(cols, p_left[sl, None], out=mask[:r])
             left = np.einsum("ij,ij->i", tl, ml)
             left2 = np.einsum("ij,ij->i", t2l, ml)
             psi[sl] = left
@@ -403,8 +394,7 @@ def _solve_roots(d, zeta):
     p_left[m - 1] = m - 2
     tau[: m - 1] = 0.5 * gaps
     tau[m - 1] = 0.5 * zsum
-    stair = np.tri(m) if m <= _MASK_MAX_M else None  # stair[k, i] = (i <= k)
-    psi, dpsi, phi, dphi = _split_sums(d, zeta, origins, tau, p_left, stair)
+    psi, dpsi, phi, dphi = _split_sums(d, zeta, origins, tau, p_left)
     f = 1.0 + psi + phi
 
     # place each interior origin at the nearer pole; the evaluated midpoint
@@ -454,7 +444,7 @@ def _solve_roots(d, zeta):
             step = 0.5 * (lo[act] + hi[act])  # bisect once the model steps run out
         tau[act] = step
         psi_a, dpsi_a, phi_a, dphi_a = _split_sums(
-            d, zeta, origins[act], tau[act], p_left[act], stair
+            d, zeta, origins[act], tau[act], p_left[act]
         )
         psi[act], dpsi[act], phi[act], dphi[act] = psi_a, dpsi_a, phi_a, dphi_a
         f_a = 1.0 + psi_a + phi_a

@@ -19,6 +19,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
+from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     DimensionMismatch,
@@ -218,7 +219,7 @@ def _sketch_workers() -> int:
 
 def estimate_resistances(
     g: Graph,
-    edges: list[tuple[int, int]] | None = None,
+    edges: list[tuple[int, int]],
     eps_jl: float = 0.5,
     seed: int = 0,
 ) -> ResistanceEstimate:
@@ -229,7 +230,7 @@ def estimate_resistances(
     rows; each solve is a Jacobi PCG to relative residual _PCG_TOL within
     _PCG_MAXITER iterations, and SolverNotConverged reports the columns
     that miss it. The sketch spans the whole graph; estimates are reported
-    for the requested edges (default: all of them).
+    for the requested edges.
 
     Memory: the signs are kept as bytes (E * k), the solution only at the
     requested edges' endpoints (endpoints x k doubles), and each worker
@@ -242,10 +243,7 @@ def estimate_resistances(
     """
     if not g.is_connected():
         raise Disconnected("resistance estimation requires a connected graph")
-    if edges is None:
-        req = [(int(u), int(v)) for u, v in zip(g.uu, g.vv)]
-    else:
-        req = [(int(u), int(v)) for u, v, *_ in edges]
+    req = [(int(u), int(v)) for u, v, *_ in edges]
     k = jl_dimension(g.n, eps_jl)
     nb = -(-k // _SKETCH_COLS)
     blocks = [slice(k * i // nb, k * (i + 1) // nb) for i in range(nb)]
@@ -386,11 +384,16 @@ def _as_dense(l) -> np.ndarray:
     return np.asarray(l, dtype=np.float64)
 
 
+def _components(lap: np.ndarray) -> int:
+    """Connected components of a Laplacian's nonzero pattern."""
+    return connected_components(sp.csr_matrix(lap), directed=False)[0]
+
+
 def verify_spectral_bound(
     l_orig,
     l_sparse,
     eps: float,
-    trials: int = 200,
+    trials: int,
     seed: int = 0,
 ) -> SpectralBoundReport:
     """Report min/max of x^T L' x / x^T L x against the (1 +- eps) band.
@@ -398,7 +401,10 @@ def verify_spectral_bound(
     Random unit directions always; for n <= _BOUND_DENSE_N the generalized
     eigenvalue extremes on the range of L are included, which makes the
     reported ratios the true worst case. Probabilistic at aggressive
-    sampling rates, so this reports rather than asserts.
+    sampling rates, so this reports rather than asserts. One exact case
+    overrides the samples: when L' has more connected components than L,
+    some vector constant on each component of L' but not on each component
+    of L has ratio 0, so the report reads ratio_min 0.0 and fails.
     """
     a = _as_dense(l_orig)
     b = _as_dense(l_sparse)
@@ -427,6 +433,8 @@ def verify_spectral_bound(
         lo = min(lo, float(gen[0]))
         hi = max(hi, float(gen[-1]))
     passed = (lo >= 1.0 - eps) and (hi <= 1.0 + eps)
+    if _components(b) > _components(a):
+        lo, passed = 0.0, False
     return SpectralBoundReport(
         eps=eps,
         ratio_min=lo,

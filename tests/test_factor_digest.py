@@ -1,5 +1,6 @@
-"""tools/factor_digest.py: equal factors give equal digests, one ulp shows,
-and each line carries its work counts and whether they match the recorded ones."""
+"""tools/factor_digest.py: equal factors give equal digests, one ulp shows
+in the stored arrays and in the served transforms, and each line carries its
+work counts and whether they match the recorded ones."""
 
 import dataclasses
 import importlib.util
@@ -32,8 +33,21 @@ def small_transform():
 
 def test_two_factorizations_of_one_plan_digest_equal(factor_digest):
     a, b = factor_digest.digests(small_transform()), factor_digest.digests(small_transform())
-    assert set(a) == {"lambda_final", "leaf_bases", "level_lambdas", "steps", "all"}
+    assert set(a) == {"lambda_final", "leaf_bases", "level_lambdas", "steps",
+                      "fwd", "inv", "all"}
     assert a == b
+
+
+def test_one_leaf_eigenvector_sign_moves_served_bits(factor_digest):
+    # still an eigenbasis, so only the leaf bases and the transforms move
+    fact = small_transform()
+    before = factor_digest.digests(fact)
+    fact.leaf_bases[0][:, 0] *= -1.0
+    after = factor_digest.digests(fact)
+    for part in ("leaf_bases", "fwd", "inv", "all"):
+        assert after[part] != before[part]
+    for part in ("lambda_final", "level_lambdas", "steps"):
+        assert after[part] == before[part]
 
 
 def test_one_ulp_of_one_zhat_moves_steps_only(factor_digest):

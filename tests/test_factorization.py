@@ -9,7 +9,13 @@ import pytest
 
 from cauchygft import factorization
 from cauchygft.errors import DimensionMismatch, PlanMismatch, TooLarge, ZeroDegreeNode
-from cauchygft.factorization import FactorizedGft, MergeRecord, MergeStep, factorize
+from cauchygft.factorization import (
+    _DENSE_CACHE_MAX,
+    FactorizedGft,
+    MergeRecord,
+    MergeStep,
+    factorize,
+)
 from cauchygft.filters import (
     FilterLayerConfig,
     heat_filter,
@@ -19,7 +25,6 @@ from cauchygft.graph import Graph, barabasi_albert, build_laplacian, dense_eig
 from cauchygft.partition import build_plan
 from cauchygft.plan import MergePlan, plan_from_leaves
 from cauchygft.secular import (
-    _DENSE_CACHE_MAX,
     CauchyFactor,
     HouseholderBlock,
     SecularSolution,
@@ -124,7 +129,8 @@ class TestFactorizeExactness:
     def test_weighted_and_self_loops(self):
         rng = np.random.default_rng(13)
         base = barabasi_albert(80, 2, seed=13)
-        edges = [(u, v, float(rng.uniform(0.2, 3.0))) for u, v, _ in base.edge_list()]
+        edges = [(u, v, float(rng.uniform(0.2, 3.0)))
+                 for u, v in zip(base.uu.tolist(), base.vv.tolist())]
         g = Graph.from_edges(80, edges, {0: 0.7, 41: 1.3})
         f = factorize(g, two_block_plan(g))
         check_against_dense(g, f)
@@ -251,7 +257,8 @@ class TestStructure:
     def test_plan_mismatch_uncovered_edge(self):
         g = barabasi_albert(40, 2, seed=41)
         plan = two_block_plan(g)
-        g2 = Graph.from_edges(40, g.edge_list() + [(0, 39, 1.0)])
+        edges = list(zip(g.uu.tolist(), g.vv.tolist(), g.ww.tolist()))
+        g2 = Graph.from_edges(40, edges + [(0, 39, 1.0)])
         with pytest.raises(PlanMismatch):
             factorize(g2, plan)
 

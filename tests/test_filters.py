@@ -11,7 +11,6 @@ from cauchygft.filters import (
     apply_layer,
     bspline_design,
     eval_bank,
-    euler_step,
     heat_filter,
     hierarchical_mix,
     parse_filter_config,
@@ -252,13 +251,6 @@ class TestApplyLayer:
         want = scipy.linalg.expm(-0.5 * lap) @ x
         got = apply_layer(f, FilterLayerConfig(global_filter=heat_filter(0.5)), x)
         assert np.max(np.abs(got - want)) <= 1e-7 * max(1.0, np.abs(want).max())
-
-    def test_euler_step(self):
-        g, f = ba_factorization(n=60, seed=9)
-        x = np.random.default_rng(6).standard_normal((g.n, 2))
-        w = np.array([[0.5, 0.0], [0.0, 2.0]])
-        out = euler_step(f, FilterLayerConfig(), x, step_size=0.1, weight=w)
-        assert np.allclose(out, x + 0.1 * (x @ w), atol=1e-8)
 
     def test_lipschitz_stability_under_sparsification(self):
         # qualitative transferability check: deviation recorded, sanity band only

@@ -31,9 +31,9 @@ def pinned_graph():
 
 
 def pinned_plan():
-    return plan_from_leaves(
-        pinned_graph(), [[2, 0, 1], [3, 4], [6, 5]], config={"recipe": "pinned"}
-    )
+    plan = plan_from_leaves(pinned_graph(), [[2, 0, 1], [3, 4], [6, 5]])
+    plan.config = {"recipe": "pinned"}
+    return plan
 
 
 def leaf(i):
@@ -70,10 +70,8 @@ class TestPlanText:
 
     def test_owner_is_lowest_common_range(self):
         plan = pinned_plan()
-        assert plan.owner(2, 3) == 3
-        assert plan.owner(6, 0) == 4
-        assert plan.owner(4, 3) == 1
-        assert plan.owner(0, 0) == 0
+        u, v = np.array([2, 6, 4, 0]), np.array([3, 0, 3, 0])
+        assert plan.owners(u, v).tolist() == [3, 4, 1, 0]
 
 
 class TestMalformedPlans:
@@ -191,8 +189,9 @@ def test_range_rule_matches_parent_walk(rule_plans, case):
     assert plan.owners(u, v).tolist() == walked == filed.tolist()
     # pairs inside one leaf and across leaves, both ways round
     rng = np.random.default_rng(0)
-    for a, b in rng.integers(0, plan.n, size=(200, 2)):
-        assert plan.owner(a, b) == plan.owner(b, a) == walk_owner(plan, parent, a, b)
+    a, b = rng.integers(0, plan.n, size=(200, 2)).T
+    walked = [walk_owner(plan, parent, x, y) for x, y in zip(a, b)]
+    assert plan.owners(a, b).tolist() == plan.owners(b, a).tolist() == walked
     keys = [(int(min(a, b)), int(max(a, b))) for a, b in zip(u, v)]
     carried = {nid: [keys[k] for k in ks] for nid, ks in plan.carried().items()}
     want = walk_carry(plan, parent)

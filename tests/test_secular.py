@@ -5,6 +5,7 @@ import pytest
 
 import cauchygft.secular as secular
 from cauchygft.errors import BracketFailure, InvalidParams
+from cauchygft.factorization import _DENSE_CACHE_MAX
 from cauchygft.secular import (
     build_cauchy_factor,
     deflate,
@@ -327,7 +328,7 @@ class TestCacheBlocking:
         for elems in (1, 7 * m, m * m):
             monkeypatch.setattr(secular, "_BLOCK_ELEMS", elems)
             factor, _ = rank_one_update_factor(lam, z, 0.7)
-            assert factor.affected.size > secular._DENSE_CACHE_MAX
+            assert factor.affected.size > _DENSE_CACHE_MAX
             sol = factor.solution
             arrays = (
                 sol.origins, sol.offsets, factor.zhat, factor.column_norms,
@@ -496,11 +497,11 @@ class TestReferenceLoops:
         "m, p_left, block_rows",
         [
             (7, [0, 1, 2, 3, 4, 5, 5], None),   # a first sweep: the last split repeats
-            (7, [2, 3, 4], None),               # consecutive: a staircase view
+            (7, [2, 3, 4], None),               # consecutive splits
             (7, [3, 3, 5], None),               # gapped, ending in the duplicate m - 2
             (7, [3, 5, 5], None),               # span r - 1 yet not consecutive
             (7, [4], None),                     # a single row
-            (40, list(range(38)) + [38], 5),    # consecutive blocks, then a gather
+            (40, list(range(38)) + [38], 5),    # 5-row blocks, the last one ragged
             (600, [0, 2, 3, 4, 9, 598, 598], 2),
         ],
     )
@@ -511,7 +512,7 @@ class TestReferenceLoops:
             monkeypatch.setattr(secular, "_BLOCK_ELEMS", block_rows * m)
         rng = np.random.default_rng(m + len(p_left))
         d, zeta, origins, tau, p = split_instance(rng, m, p_left)
-        got = secular._split_sums(d, zeta, origins, tau, p, np.tri(m))
+        got = secular._split_sums(d, zeta, origins, tau, p)
         want = masked_split_sums(d, zeta, origins, tau, p)
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()

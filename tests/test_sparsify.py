@@ -27,6 +27,11 @@ from cauchygft.sparsify import (
 )
 
 
+def edges_of(g):
+    """Every edge of g as (u, v, w), in the graph's sorted order."""
+    return list(zip(g.uu.tolist(), g.vv.tolist(), g.ww.tolist()))
+
+
 def cycle4():
     return Graph.from_edges(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0)])
 
@@ -45,7 +50,7 @@ class TestResistances:
     def test_single_edge_exact_and_estimate(self):
         g = Graph.from_edges(2, [(0, 1, 1.0)])
         assert exact_resistances(g, [(0, 1)]) == pytest.approx([1.0])
-        est = estimate_resistances(g, eps_jl=0.5, seed=0)
+        est = estimate_resistances(g, [(0, 1)], eps_jl=0.5, seed=0)
         assert est.edges == [(0, 1)]
         assert 0.5 <= est.values[0] <= 1.5
 
@@ -72,19 +77,17 @@ class TestResistances:
         for seed in range(10):
             g0 = barabasi_albert(60, 1, seed=seed)
             w = rng.uniform(0.5, 2.0, g0.num_edges)
-            g = Graph.from_edges(
-                60, [(u, v, wi) for (u, v, _), wi in zip(g0.edge_list(), w)]
-            )
-            est = estimate_resistances(g, eps_jl=0.5, seed=seed)
-            assert est.edges == [(u, v) for u, v, _ in g.edge_list()]
-            for (_, _, wi), r in zip(g.edge_list(), est.values):
+            g = Graph.from_edges(60, list(zip(g0.uu.tolist(), g0.vv.tolist(), w)))
+            est = estimate_resistances(g, edges_of(g), eps_jl=0.5, seed=seed)
+            assert est.edges == list(zip(g.uu.tolist(), g.vv.tolist()))
+            for wi, r in zip(g.ww, est.values):
                 total += 1
                 hits += 0.5 / wi <= r <= 1.5 / wi
         assert hits / total >= 0.95
 
     def test_estimates_track_exact_on_ba(self):
         g = barabasi_albert(200, 2, seed=1)
-        edges = g.edge_list()
+        edges = edges_of(g)
         est = estimate_resistances(g, edges, eps_jl=0.5, seed=1)
         exact = exact_resistances(g, edges)
         ratio = est.values / exact
@@ -94,7 +97,7 @@ class TestResistances:
     def test_disconnected_raises(self):
         g = Graph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
         with pytest.raises(Disconnected):
-            estimate_resistances(g)
+            estimate_resistances(g, [(0, 1)])
         with pytest.raises(Disconnected):
             exact_resistances(g, [(0, 1)])
 
@@ -131,7 +134,7 @@ class TestSketchBlocks:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = estimate_resistances(g, seed=7)
+            got = estimate_resistances(g, edges_of(g), seed=7)
         finally:
             sys.setswitchinterval(interval)
         assert got.projection_dim == k
@@ -272,7 +275,7 @@ class TestSketchBlocks:
         g = barabasi_albert(3000, 2, seed=0)
         k = jl_dimension(g.n, 0.5)
         monkeypatch.setattr(sparsify, "_sketch_workers", lambda: 2)
-        crossing = g.edge_list()[::60]
+        crossing = edges_of(g)[::60]
         tracemalloc.start()
         try:
             estimate_resistances(g, crossing, seed=0)
@@ -287,11 +290,11 @@ class TestSketchBlocks:
         monkeypatch.setattr(sparsify, "_sketch_workers", lambda: 2)
         monkeypatch.setattr(sparsify, "_PCG_MAXITER", 1)
         with pytest.raises(SolverNotConverged, match=rf"block PCG: {k} of {k} columns"):
-            estimate_resistances(g, seed=0)
+            estimate_resistances(g, edges_of(g), seed=0)
 
     def test_policy_falls_back_to_inverse_weights(self, monkeypatch):
         g = barabasi_albert(208, 2, seed=4)
-        crossing = g.edge_list()[:12]
+        crossing = edges_of(g)[:12]
         monkeypatch.setattr(sparsify, "_PCG_MAXITER", 1)
         policy = SparsifyPolicy(target_count=4)
         with pytest.warns(UserWarning, match="did not converge"):
@@ -434,6 +437,23 @@ class TestSpectralBound:
         assert rep.passed
         rep2 = verify_spectral_bound(lap, 1.6 * lap, eps=0.5, trials=10, seed=0)
         assert not rep2.passed
+
+    @pytest.mark.parametrize("half", [60, 200])  # dense extremes, samples only
+    def test_split_sparsified_graph_fails_with_zero_ratio(self, half):
+        # two BA halves joined by three bridges; the sparsified side drops
+        # the bridges, so random directions barely see the split
+        a = barabasi_albert(half, 2, seed=half)
+        halves = edges_of(a) + [(u + half, v + half, w) for u, v, w in edges_of(a)]
+        bridges = [(0, half, 1.0), (7, half + 3, 1.0), (11, 2 * half - 1, 1.0)]
+        g = Graph.from_edges(2 * half, halves + bridges)
+        split = Graph.from_edges(2 * half, halves)
+        rep = verify_spectral_bound(
+            build_laplacian(g), build_laplacian(split), eps=0.5, trials=100, seed=0
+        )
+        assert rep.dense_extremes == (2 * half <= sparsify._BOUND_DENSE_N)
+        assert rep.ratio_min == 0.0
+        assert 0.0 < rep.ratio_max <= 1.0 + 1e-9
+        assert not rep.passed
 
     def test_sparsified_ba_interfaces(self):
         # dense BA graphs: redundant interfaces are the sparsifier's regime;

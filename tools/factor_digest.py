@@ -5,7 +5,9 @@ Builds each graph and plan exactly as an untraced benchmark run does
 imported read-only), factorizes it, and prints one JSON line per plan with
 the sha256 of `lambda_final`, of the leaf bases, of `level_lambdas` and of
 every step's arrays (affected, origins, offsets, lambda_old, zhat, column
-norms and signs, perm, reflectors): what a factor keeps. Each line also
+norms and signs, perm, reflectors): what a factor keeps. `fwd` and `inv`
+hash `forward` and `inverse` of one seeded n x 3 block, so the serving
+path (dense merge operators, the step walk) is covered too. Each line also
 carries the plan's `content_hash()`, which covers the sampled bridge
 weights, so a change in the resistance sketch shows where its output lands,
 and `plan_json`, the sha256 of `json.dumps(plan.to_dict())`: the text
@@ -64,7 +66,8 @@ def _step_arrays(step):
 def digests(fact) -> dict[str, str]:
     """sha256 per part of one factorized transform, plus one over all."""
     parts = {name: hashlib.sha256() for name in ("lambda_final", "leaf_bases",
-                                                  "level_lambdas", "steps")}
+                                                  "level_lambdas", "steps",
+                                                  "fwd", "inv")}
     _feed(parts["lambda_final"], fact.lambda_final)
     for basis in fact.leaf_bases:
         _feed(parts["leaf_bases"], basis)
@@ -78,6 +81,9 @@ def digests(fact) -> dict[str, str]:
         for step in rec.steps:
             for arr in _step_arrays(step):
                 _feed(h, arr)
+    x = np.random.default_rng(0).standard_normal((fact.n, 3))
+    _feed(parts["fwd"], fact.forward(x))
+    _feed(parts["inv"], fact.inverse(x))
     out = {name: h.hexdigest() for name, h in parts.items()}
     out["all"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
     return out
