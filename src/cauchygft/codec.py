@@ -1,13 +1,13 @@
 """One JSON codec for the dataclasses of a saved transform.
 
 A dataclass is written as a dict of its init fields and read back by
-walking its type hints: nested dataclasses, ``list[X]``, ``tuple[X, ...]``,
-fixed tuples such as ``tuple[int, int, float]`` (read element by element,
-so a weight written as ``1`` loads as ``1.0``), ``dict[K, V]``, ``X | None``
-in either spelling (``typing.Union`` or ``types.UnionType``) and arrays,
-whose dtype each field declares once as ``F64`` or ``I64`` (an ``F64``
-holding NaN or inf is refused with ValueError). A type with its
-own ``to_dict``/``from_dict`` goes through them: the merge plan and the
+walking its type hints: nested dataclasses, ``list[X]``, fixed-length
+tuples such as ``tuple[int, int, float]`` (read element by element, so a
+weight written as ``1`` loads as ``1.0``), ``dict[K, V]``, ``X | None`` in
+either spelling (``typing.Union`` or ``types.UnionType``) and arrays, whose
+dtype each field declares once as ``F64`` or ``I64`` (an ``F64`` holding
+NaN or inf is refused with ValueError). A type with its own
+``to_dict``/``from_dict`` goes through them: the merge plan and the
 transform wrap the fields in a ``"version"`` key, and the plan's content
 hash is taken over that text.
 """
@@ -78,12 +78,12 @@ def _reader(hint):
         (inner,) = [a for a in args if a is not type(None)]
         read = _reader(inner)
         return lambda data: None if data is None else read(data)
-    if origin is tuple and args[-1] is not Ellipsis:
+    if origin is tuple:
         reads = tuple(_reader(a) for a in args)
         return lambda data: tuple(r(v) for r, v in zip(reads, data, strict=True))
-    if origin in (list, tuple):
+    if origin is list:
         read = _reader(args[0])
-        return lambda data: origin(read(v) for v in data)
+        return lambda data: [read(v) for v in data]
     if origin is dict:
         key, read = args[0], _reader(args[1])
         return lambda data: {key(k): read(v) for k, v in data.items()}

@@ -24,7 +24,7 @@ from .graph import COMBINATORIAL, NORMALIZED, Graph, build_laplacian, dense_eig
 from .plan import MergePlan, read_json
 from .secular import CauchyFactor, rank_one_update_factor
 
-GFT_VERSION = 3
+GFT_VERSION = 4
 # largest n whose operator reconstruct_operator materializes densely
 DENSE_LIMIT = 2048
 # widest merge record (positions) that is served through one dense operator:
@@ -219,9 +219,11 @@ class FactorizedGft:
         The version must be GFT_VERSION, the kind a Laplacian kind, the
         stored plan hash must match the stored plan and every array must
         have the shape and index range that plan implies, with each tree
-        node's eigenvalues ascending, each step's affected set strictly
-        increasing and its column norms positive; a missing or mistyped
-        field, or a float array holding NaN or inf, is reported the same way.
+        node's eigenvalues ascending, each merge's spectrum and each step's
+        lambda_old equal, bit for bit, to a replay on the children's spectra,
+        each step's affected set strictly increasing and its column norms
+        positive; a missing or mistyped field, or a float array holding NaN
+        or inf, is reported the same way.
         """
         try:
             version = data["version"]
@@ -244,7 +246,7 @@ class FactorizedGft:
     def _check_shapes(self) -> None:
         """PlanMismatch unless every array fits the plan: shapes, index
         ranges, ascending spectra, strictly increasing affected sets,
-        positive column norms."""
+        positive column norms, spectra that the merges replay."""
 
         def expect(what: str, got, want) -> None:
             if got != want:
@@ -270,11 +272,17 @@ class FactorizedGft:
             expect(f"level_lambdas {nid}", lam.shape, (s1 - s0,))
             if np.any(np.diff(lam) < 0.0):
                 raise PlanMismatch(f"level_lambdas {nid} is not ascending")
+        if [rec.node_id for rec in self.history] != [nd.id for nd in plan.internal_nodes()]:
+            raise PlanMismatch("history does not hold the plan's merges in order")
         for rec in self.history:
             where = f"merge record {rec.node_id}"
-            expect(f"{where} range", (rec.start, rec.stop), plan.ranges.get(rec.node_id))
+            expect(f"{where} range", (rec.start, rec.stop), plan.ranges[rec.node_id])
             r = rec.stop - rec.start
             expect_perm(f"{where} concat_perm", rec.concat_perm, r)
+            # replay the merge on its children's spectra, as factorize ran it
+            lam = np.concatenate([self.level_lambdas[c] for c in plan.tree[rec.node_id].children])
+            if rec.concat_perm is not None:
+                lam = lam[rec.concat_perm]
             for j, step in enumerate(rec.steps):
                 f = step.factor
                 at = f"{where} step {j}"
@@ -283,10 +291,13 @@ class FactorizedGft:
                 if np.any(np.diff(f.affected) <= 0):
                     raise PlanMismatch(f"{at} affected is not strictly increasing")
                 expect_indices(f"{at} origins", f.solution.origins, f.affected.size)
-                for blk in f.householder_blocks:
-                    if not 0 <= blk.start < blk.stop <= r:
-                        raise PlanMismatch(f"{at} reflector outside {r} positions")
-                    expect(f"{at} reflector", blk.reflector.shape, (blk.stop - blk.start,))
+                ref = f.reflectors
+                expect(f"{at} reflector stops and first_signs",
+                       (ref.stops.shape, ref.first_signs.shape), (ref.starts.shape,) * 2)
+                if np.any((ref.starts < 0) | (ref.starts >= ref.stops) | (ref.stops > r)):
+                    raise PlanMismatch(f"{at} reflector outside {r} positions")
+                width = int(np.sum(ref.stops - ref.starts))
+                expect(f"{at} reflector", ref.vectors.shape, (width,))
                 a = (f.affected.size,)
                 expect(f"{at} zhat", f.zhat.shape, a)
                 expect(f"{at} column_norms", f.column_norms.shape, a)
@@ -294,7 +305,13 @@ class FactorizedGft:
                     raise PlanMismatch(f"{at} column_norms are not all positive")
                 expect(f"{at} origins", f.solution.origins.shape, a)
                 expect(f"{at} offsets", f.solution.offsets.shape, a)
-                expect(f"{at} lambda_old", f.solution.lambda_old.shape, a)
+                if lam[f.affected].tobytes() != f.solution.lambda_old.tobytes():
+                    raise PlanMismatch(f"{at} lambda_old does not match the replayed spectrum")
+                lam[f.affected] = f.solution.lambda_new
+                if step.perm is not None:
+                    lam = lam[step.perm]
+            if lam.tobytes() != self.level_lambdas[rec.node_id].tobytes():
+                raise PlanMismatch(f"level_lambdas {rec.node_id} does not match its merge steps")
 
     @classmethod
     def load(cls, path: str) -> FactorizedGft:

@@ -7,8 +7,8 @@ Given diag(lam) + rho * z z^T, the updated eigenvalues are the roots of
 one per interleaving bracket (lam_j, lam_j+1). The updated eigenvectors, in
 the old eigenbasis, are the columns of an orthogonal Cauchy-like matrix with
 entries proportional to z_i / (lam_i - mu_j). Repeated eigenvalues and zero
-projections are removed first by deflation (Householder rotations within
-degenerate clusters, then dropping zero components).
+projections are removed first by deflation (one table of Householder
+reflectors over the degenerate clusters, then dropping zero components).
 
 Numerical notes that the tolerances of this package depend on:
 
@@ -65,28 +65,33 @@ def default_tolerances(
 
 
 @dataclass(frozen=True, eq=False)
-class HouseholderBlock:
-    """Reflector over one repeated-eigenvalue slice [start, stop).
+class Reflectors:
+    """Householder reflectors of one update's repeated-eigenvalue clusters.
 
-    Acts as H = I - 2 u u^T followed by a sign flip of the first coordinate,
-    chosen so the cluster's z-mass lands on coordinate `start` with value
-    +||z_block||.
+    Cluster k acts on positions [starts[k], stops[k]) as H = I - 2 u u^T, u
+    its unit vector (all lie end to end in `vectors`), then multiplies its
+    first coordinate by first_signs[k]: its z-mass lands there as +||z||.
     """
 
-    start: int
-    stop: int
-    reflector: F64         # unit vector u of length stop - start
-    first_sign: float      # +-1 applied to the leading coordinate after H
+    starts: I64
+    stops: I64
+    first_signs: F64
+    vectors: F64
 
-    def apply_t(self, x: np.ndarray) -> None:
-        blk = x[self.start : self.stop]
-        blk -= np.multiply.outer(2.0 * self.reflector, self.reflector @ blk)
-        x[self.start] *= self.first_sign
-
-    def apply(self, x: np.ndarray) -> None:
-        x[self.start] *= self.first_sign
-        blk = x[self.start : self.stop]
-        blk -= np.multiply.outer(2.0 * self.reflector, self.reflector @ blk)
+    def apply_inplace(self, x: np.ndarray, transpose: bool = False) -> None:
+        """Reflect the rows of x in place; transposed, each flip comes first."""
+        at = 0
+        for i, j, sign in zip(
+            self.starts.tolist(), self.stops.tolist(), self.first_signs.tolist()
+        ):
+            u = self.vectors[at : at + j - i]
+            at += j - i
+            if transpose:
+                x[i] *= sign
+            blk = x[i:j]
+            blk -= np.multiply.outer(2.0 * u, u @ blk)
+            if not transpose:
+                x[i] *= sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,15 +100,15 @@ class DeflationRecord:
 
     kept: indices that enter the secular solve (all |z| > tol_z, eigenvalues
     pairwise separated by > tol_lambda). dropped_zero: zero projections left
-    untouched (Case 1). rotated: cluster members whose z-mass was moved onto
-    the cluster head by a Householder reflector (Case 2). z_deflated: the z
-    entries over `kept` after the reflectors.
+    untouched (Case 1). rotated: cluster members whose z-mass `reflectors`
+    moved onto the cluster head (Case 2). z_deflated: the z entries over
+    `kept` after the reflectors.
     """
 
     kept: I64
     dropped_zero: I64
     rotated: I64
-    householder_blocks: tuple[HouseholderBlock, ...]
+    reflectors: Reflectors
     z_deflated: F64
 
 
@@ -140,15 +145,15 @@ class CauchyFactor:
 
     Acts on the merge's positions as identity outside `affected` (the
     deflation's kept indices): forward = post-deflation Cauchy-block
-    transpose after the Householder rotations, i.e. the map from old-basis
-    to new-basis spectral coefficients. Only O(|affected|) data is stored;
-    the column signs are derived on construction and the dense Cauchy
-    block is rebuilt in column chunks on every apply.
+    transpose after the deflation's reflector table, i.e. the map from
+    old-basis to new-basis spectral coefficients. Only O(|affected|) data
+    is stored; the column signs are derived on construction and the dense
+    Cauchy block is rebuilt in column chunks on every apply.
     """
 
     solution: SecularSolution
     affected: I64
-    householder_blocks: tuple[HouseholderBlock, ...]
+    reflectors: Reflectors
     zhat: F64                # Loewner-consistent z over `affected`
     column_norms: F64
     column_signs: F64 = field(init=False, repr=False)
@@ -164,21 +169,14 @@ class CauchyFactor:
     def apply_inplace(self, y: np.ndarray, transpose: bool = False) -> None:
         """Multiply an (r, c) array over the merge's positions in place."""
         if not transpose:
-            for blk in self.householder_blocks:
-                blk.apply_t(y)
-            if self.affected.size:
-                y[self.affected] = _cauchy_apply(
-                    self.solution, self.zhat, self.column_norms,
-                    self.column_signs, y[self.affected], transpose=True,
-                )
-        else:
-            if self.affected.size:
-                y[self.affected] = _cauchy_apply(
-                    self.solution, self.zhat, self.column_norms,
-                    self.column_signs, y[self.affected], transpose=False,
-                )
-            for blk in self.householder_blocks:
-                blk.apply(y)
+            self.reflectors.apply_inplace(y)
+        if self.affected.size:
+            y[self.affected] = _cauchy_apply(
+                self.solution, self.zhat, self.column_norms,
+                self.column_signs, y[self.affected], transpose=not transpose,
+            )
+        if transpose:
+            self.reflectors.apply_inplace(y, transpose=True)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +202,15 @@ def deflate(lam: np.ndarray, z: np.ndarray, rho: float = 1.0) -> DeflationRecord
     tol_z, tol_lambda = default_tolerances(lam, z, rho)
 
     zd = z.copy()
-    blocks: list[HouseholderBlock] = []
-    rotated: list[int] = []
     # a cluster [i, j) is a maximal run of gaps lam[k+1] - lam[k] <= tol_lambda
-    # for k in [i, j - 1); the padded flags rise at i and fall at j - 1
+    # for k in [i, j - 1); the padded flags rise at i and fall at j - 1, and
+    # close[k] marks a member k that is not its cluster's head
     close = np.concatenate(([False], lam[1:] - lam[:-1] <= tol_lambda, [False]))
     edges = np.flatnonzero(close[1:] != close[:-1])
-    for i, j in zip(edges[0::2].tolist(), (edges[1::2] + 1).tolist()):
+    starts, stops = edges[0::2], edges[1::2] + 1
+    signs = np.zeros(starts.size)  # stays 0 where a cluster has no z-mass to move
+    vectors = [np.zeros(0)]
+    for c, (i, j) in enumerate(zip(starts.tolist(), stops.tolist())):
         zb = zd[i:j]
         nrm = float(np.linalg.norm(zb))
         if nrm > 0.0:
@@ -218,25 +218,20 @@ def deflate(lam: np.ndarray, z: np.ndarray, rho: float = 1.0) -> DeflationRecord
             u = zb.copy()
             u[0] += sgn * nrm  # no cancellation: |u_0| >= nrm
             u /= np.linalg.norm(u)
-            blocks.append(
-                HouseholderBlock(
-                    start=i, stop=j, reflector=u, first_sign=-sgn
-                )
-            )
+            signs[c] = -sgn
+            vectors.append(u)
             zd[i] = nrm
             zd[i + 1 : j] = 0.0
-        rotated.extend(range(i + 1, j))
 
-    rot = np.asarray(rotated, dtype=np.int64)
-    alive = np.ones(m, dtype=bool)
-    alive[rot] = False
+    alive = ~close[:m]
     small = alive & (np.abs(zd) <= tol_z)
     kept = np.flatnonzero(alive & ~small)
+    live = signs != 0.0
     return DeflationRecord(
         kept=kept,
         dropped_zero=np.flatnonzero(small),
-        rotated=rot,
-        householder_blocks=tuple(blocks),
+        rotated=np.flatnonzero(close[:m]),
+        reflectors=Reflectors(starts[live], stops[live], signs[live], np.concatenate(vectors)),
         z_deflated=zd[kept],
     )
 
@@ -255,9 +250,10 @@ def _split_sums(d, zeta, origins, tau, p_left):
     are segment sums of one reduceat over the row block. The two paths
     round differently, so the limit is part of every recorded factor.
 
-    Roots are swept in row blocks of about _BLOCK_ELEMS elements whose few
-    temporaries stay cache resident. Every root's row is reduced on its own,
-    so the block size never changes a bit of the result.
+    Roots are swept in row blocks of about _BLOCK_ELEMS elements whose two
+    temporaries (three with the mask; t/delta overwrites delta) stay cache
+    resident. Every root's row is reduced on its own, so the block size
+    never changes a bit of the result.
     """
     m = d.size
     k = tau.size
@@ -269,7 +265,6 @@ def _split_sums(d, zeta, origins, tau, p_left):
     rows = min(step, k)
     delta = np.empty((rows, m))
     t = np.empty((rows, m))
-    t2 = np.empty((rows, m))
     if m <= _MASK_MAX_M:
         mask = np.empty((rows, m))
         cols = np.arange(m)
@@ -279,11 +274,11 @@ def _split_sums(d, zeta, origins, tau, p_left):
     for s in range(0, k, step):
         sl = slice(s, min(s + step, k))
         r = sl.stop - sl.start
-        dl, tl, t2l = delta[:r], t[:r], t2[:r]
+        dl, tl = delta[:r], t[:r]
         np.subtract(d[None, :], d[origins[sl], None], out=dl)
         dl -= tau[sl, None]
         np.divide(zeta[None, :], dl, out=tl)
-        np.divide(tl, dl, out=t2l)
+        t2l = np.divide(tl, dl, out=dl)
         if m <= _MASK_MAX_M:
             ml = np.less_equal(cols, p_left[sl, None], out=mask[:r])
             left = np.einsum("ij,ij->i", tl, ml)
@@ -600,7 +595,7 @@ def build_cauchy_factor(record: DeflationRecord, sol: SecularSolution) -> Cauchy
         )
     return CauchyFactor(
         solution=sol, affected=record.kept,
-        householder_blocks=record.householder_blocks,
+        reflectors=record.reflectors,
         zhat=zhat, column_norms=norms,
     )
 
@@ -614,7 +609,6 @@ def rank_one_update_factor(
     order: kept slots carry the secular roots, all others are unchanged.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
     record = deflate(lam, z, rho=rho)
     sol = solve_secular(lam[record.kept], record.z_deflated, rho)
     factor = build_cauchy_factor(record, sol)

@@ -69,9 +69,9 @@ def test_one_ulp_of_one_reflector_moves_steps(factor_digest):
                              (2, 3, 1e-40), (0, 5, 1.0)])
     fact = factorize(g, plan_from_leaves(g, [[0, 1, 2], [3, 4, 5]]))
     before = factor_digest.digests(fact)
-    (blk, *_) = [b for rec in fact.history for st in rec.steps
-                 for b in st.factor.householder_blocks]
-    blk.reflector[0] = np.nextafter(blk.reflector[0], np.inf)
+    table = next(st.factor.reflectors for rec in fact.history for st in rec.steps
+                 if st.factor.reflectors.starts.size)
+    table.vectors[0] = np.nextafter(table.vectors[0], np.inf)
     after = factor_digest.digests(fact)
     assert after["steps"] != before["steps"]
     assert after["level_lambdas"] == before["level_lambdas"]
@@ -83,7 +83,9 @@ def test_lines_carry_counts_and_their_recorded_match(factor_digest, monkeypatch,
 
     def lines(seed):
         factor_digest.main(["--workload", small.name, "--seed", str(seed)])
-        return [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        out, err = capsys.readouterr()
+        assert err.startswith("BLAS threads: ")
+        return [json.loads(line) for line in out.splitlines()]
 
     unrecorded = lines(99)  # counts.json has no seed 99
     assert [line["counts_recorded"] for line in unrecorded] == [None, None]

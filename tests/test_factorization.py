@@ -26,7 +26,7 @@ from cauchygft.partition import build_plan
 from cauchygft.plan import MergePlan, plan_from_leaves
 from cauchygft.secular import (
     CauchyFactor,
-    HouseholderBlock,
+    Reflectors,
     SecularSolution,
     _cauchy_columns,
     rank_one_update_factor,
@@ -239,7 +239,7 @@ class TestStructure:
                 f = step.factor
                 if f.affected.size:
                     assert f.affected.max() < s1 - s0
-                assert all(blk.stop <= s1 - s0 for blk in f.householder_blocks)
+                assert np.all(f.reflectors.stops <= s1 - s0)
 
     def test_interface_order_independence(self):
         g = barabasi_albert(100, 2, seed=37)
@@ -275,7 +275,11 @@ class TestStructure:
             ("isolated_normalized", ZeroDegreeNode, "node 3"),
             ("level_lambdas", PlanMismatch, "level_lambdas does not cover"),
             ("lambda_edited", PlanMismatch, "level_lambdas 2 is not ascending"),
+            ("lambda_old_edited", PlanMismatch,
+             "record 2 step 0 lambda_old does not match the replayed spectrum"),
+            ("history_dropped", PlanMismatch, "history does not hold the plan's merges"),
             ("reflector", PlanMismatch, "reflector outside 4 positions"),
+            ("reflector_length", PlanMismatch, r"reflector has shape \(2,\), expected \(3,\)"),
         ],
     )
     def test_plan_or_transform_that_does_not_fit_refused(self, damage, error, message):
@@ -308,10 +312,18 @@ class TestStructure:
                 del saved["level_lambdas"]["0"]
             elif damage == "lambda_edited":
                 saved["level_lambdas"]["2"][1] = 7.0
+            elif damage == "lambda_old_edited":
+                saved["history"][0]["steps"][0]["factor"]["solution"]["lambda_old"][-1] = 2.5
+            elif damage == "history_dropped":
+                saved["history"] = []
             elif damage == "reflector":
-                saved["history"][0]["steps"][0]["factor"]["householder_blocks"] = [
-                    {"start": 2, "stop": 5, "reflector": [1.0, 0.0, 0.0], "first_sign": 1.0}
-                ]
+                saved["history"][0]["steps"][0]["factor"]["reflectors"] = {
+                    "starts": [2], "stops": [5], "first_signs": [1.0], "vectors": [1.0, 0.0, 0.0]
+                }
+            elif damage == "reflector_length":
+                saved["history"][0]["steps"][0]["factor"]["reflectors"] = {
+                    "starts": [0], "stops": [3], "first_signs": [1.0], "vectors": [1.0, 0.0]
+                }
             FactorizedGft.from_dict(saved)
 
 
@@ -401,7 +413,10 @@ class TestSerialization:
         for step in (st for rec in data["history"] for st in rec["steps"]):
             assert set(step) == {"perm", "factor"}
             assert set(step["factor"]) == {
-                "solution", "affected", "householder_blocks", "zhat", "column_norms"
+                "solution", "affected", "reflectors", "zhat", "column_norms"
+            }
+            assert set(step["factor"]["reflectors"]) == {
+                "starts", "stops", "first_signs", "vectors"
             }
             assert set(step["factor"]["solution"]) == {
                 "lambda_old", "z", "rho", "origins", "offsets"
@@ -432,7 +447,7 @@ class TestSerialization:
         same(f, loaded, "transform")
         assert seen >= {
             FactorizedGft, MergeRecord, MergeStep, CauchyFactor,
-            SecularSolution, HouseholderBlock,
+            SecularSolution, Reflectors,
         }
         (empty,) = [st.factor for rec in loaded.history for st in rec.steps
                     if st.factor.affected.size == 0]
@@ -452,7 +467,14 @@ class TestSerialization:
         # version 2 stored each step's deflation report and lambda_final
         data = self.deflating_transform().to_dict()
         data["version"] = 2
-        with pytest.raises(PlanMismatch, match="version 2, expected 3"):
+        with pytest.raises(PlanMismatch, match="version 2, expected 4"):
+            FactorizedGft.from_dict(data)
+
+    def test_version_three_file_refused(self):
+        # version 3 stored each cluster's reflector as its own object
+        data = self.deflating_transform().to_dict()
+        data["version"] = 3
+        with pytest.raises(PlanMismatch, match="version 3, expected 4"):
             FactorizedGft.from_dict(data)
 
     @pytest.mark.parametrize(
@@ -477,8 +499,8 @@ class TestSerialization:
         elif damage == "nan_leaf_basis":
             data["leaf_bases"][1][0][0] = math.nan
         elif damage == "inf_reflector":
-            blocks = [b for fc in factors for b in fc["householder_blocks"]]
-            blocks[0]["reflector"][0] = -math.inf
+            table = next(fc["reflectors"] for fc in factors if fc["reflectors"]["vectors"])
+            table["vectors"][0] = -math.inf
         elif damage == "bogus_kind":
             data["kind"] = "bogus"
         elif damage == "repeated_affected":
@@ -487,6 +509,18 @@ class TestSerialization:
         elif damage == "zero_column_norm":
             next(fc for fc in factors if fc["column_norms"])["column_norms"][0] = 0.0
         with pytest.raises(PlanMismatch, match=message):
+            FactorizedGft.from_dict(data)
+
+    def test_spectrum_edit_that_stays_ascending_refused(self):
+        # BA(60) root eigenvalue 30 is 2.3823; 2.4997 keeps the spectrum ascending
+        g = barabasi_albert(60, 2, seed=0)
+        fact = factorize(g, build_plan(g, seed=0).plan)
+        data = json.loads(json.dumps(fact.to_dict()))
+        root_id = fact.plan.root_id
+        root = data["level_lambdas"][str(root_id)]
+        assert root[29] < 2.4997 < root[31]
+        root[30] = 2.4997
+        with pytest.raises(PlanMismatch, match=f"level_lambdas {root_id} does not match"):
             FactorizedGft.from_dict(data)
 
     @pytest.mark.parametrize("text", ["", "{\"version\": 2, \"plan\"", "not json"])
@@ -591,7 +625,7 @@ class TestRecordOperators:
         lam = np.sort(rng.uniform(0.0, 4.0, m))
         factor, _ = rank_one_update_factor(lam, rng.standard_normal(m), 0.8)
         assert factor.affected.size == m
-        assert not factor.householder_blocks
+        assert factor.reflectors.starts.size == 0
         x = rng.standard_normal((m, 5))
         sol = factor.solution
         c = _cauchy_columns(sol.lambda_old, sol.origins, sol.offsets, factor.zhat,

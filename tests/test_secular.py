@@ -21,14 +21,22 @@ def updated_matrix(lam, z, rho):
     return np.diag(lam) + rho * np.outer(z, z)
 
 
+def clusters(reflectors):
+    """(start, stop, first sign, unit vector) of each cluster in a reflector table."""
+    ends = np.cumsum(reflectors.stops - reflectors.starts)
+    for i, j, sign, end in zip(reflectors.starts.tolist(), reflectors.stops.tolist(),
+                               reflectors.first_signs.tolist(), ends.tolist()):
+        yield i, j, sign, reflectors.vectors[end - (j - i) : end]
+
+
 def deflation_transform(record, n):
-    """Dense orthogonal G from the record's Householder blocks (oracle path)."""
+    """Dense orthogonal G from the record's reflector table (oracle path)."""
     g = np.eye(n)
-    for blk in record.householder_blocks:
-        h = np.eye(blk.stop - blk.start) - 2.0 * np.outer(blk.reflector, blk.reflector)
-        s = np.eye(blk.stop - blk.start)
-        s[0, 0] = blk.first_sign
-        g[blk.start : blk.stop, blk.start : blk.stop] = h @ s
+    for i, j, sign, u in clusters(record.reflectors):
+        h = np.eye(j - i) - 2.0 * np.outer(u, u)
+        s = np.eye(j - i)
+        s[0, 0] = sign
+        g[i:j, i:j] = h @ s
     return g
 
 
@@ -105,9 +113,9 @@ class TestDeflate:
         rebuilt = g @ updated_matrix(lam, zhat, rho) @ g.T
         assert np.max(np.abs(rebuilt - updated_matrix(lam, z, rho))) <= 1e-12
         # reflected z concentrates each block's mass on its head
-        for blk in rec.householder_blocks:
-            seg = zhat[blk.start : blk.stop]
-            assert abs(seg[0] - np.linalg.norm(z[blk.start : blk.stop])) <= 1e-12
+        for i, j, _, _ in clusters(rec.reflectors):
+            seg = zhat[i:j]
+            assert abs(seg[0] - np.linalg.norm(z[i:j])) <= 1e-12
             assert np.max(np.abs(seg[1:])) <= 1e-12
 
 
@@ -216,7 +224,7 @@ class TestCauchyFactor:
         factor = build_cauchy_factor(rec, sol)
         x = np.array([3.0, -4.0])
         assert np.array_equal(applied(factor, x), x)
-        assert factor.affected.size == 0 and not factor.householder_blocks
+        assert factor.affected.size == 0 and factor.reflectors.starts.size == 0
 
     def test_two_by_two_matches_dense_eigenvectors(self):
         lam = np.array([1.0, 3.0])
@@ -475,10 +483,14 @@ class TestReferenceLoops:
         for got, want in ((rec.kept, kept), (rec.dropped_zero, dropped),
                           (rec.rotated, rot), (rec.z_deflated, zd)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert len(rec.householder_blocks) == len(blocks)
-        for blk, (i, j, u, sign) in zip(rec.householder_blocks, blocks):
-            assert (blk.start, blk.stop, blk.first_sign) == (i, j, sign)
-            assert blk.reflector.tobytes() == u.tobytes()
+        table = rec.reflectors
+        assert table.starts.dtype == table.stops.dtype == np.int64
+        assert table.first_signs.dtype == table.vectors.dtype == np.float64
+        got = list(clusters(table))
+        assert len(got) == len(blocks)
+        for (gi, gj, gsign, gu), (i, j, u, sign) in zip(got, blocks):
+            assert (gi, gj, gsign) == (i, j, sign)
+            assert gu.tobytes() == u.tobytes()
 
     def test_deflate_matches_index_loop_on_random_spectra(self):
         rng = np.random.default_rng(17)
@@ -491,7 +503,7 @@ class TestReferenceLoops:
                 assert rec.kept.tobytes() == kept.tobytes()
                 assert rec.rotated.tobytes() == rot.tobytes()
                 assert rec.z_deflated.tobytes() == zd.tobytes()
-                assert len(rec.householder_blocks) == len(blocks)
+                assert len(rec.reflectors.starts) == len(blocks)
 
     @pytest.mark.parametrize(
         "m, p_left, block_rows",

@@ -5,7 +5,8 @@ Builds each graph and plan exactly as an untraced benchmark run does
 imported read-only), factorizes it, and prints one JSON line per plan with
 the sha256 of `lambda_final`, of the leaf bases, of `level_lambdas` and of
 every step's arrays (affected, origins, offsets, lambda_old, zhat, column
-norms and signs, perm, reflectors): what a factor keeps. `fwd` and `inv`
+norms and signs, perm, and per cluster of the reflector table its start and
+stop, unit vector and first sign): what a factor keeps. `fwd` and `inv`
 hash `forward` and `inverse` of one seeded n x 3 block, so the serving
 path (dense merge operators, the step walk) is covered too. Each line also
 carries the plan's `content_hash()`, which covers the sampled bridge
@@ -16,7 +17,8 @@ Two checkouts whose lines match produced the same plans and factors bit for
 bit. Each line also gives the plan's work counts (`plan_counts` in
 `perfbench/workload.py`) and `counts_recorded`: whether they equal that
 graph's entry in `perfbench/counts.json`, or null where the seed has none.
-So a bits-and-counts check needs no timed benchmark run.
+So a bits-and-counts check needs no timed benchmark run. The BLAS thread
+count goes to stderr first: factor bits, and so the counts, depend on it.
 
     PYTHONPATH=src python3 tools/factor_digest.py --workload quickstart-500 --seed 0 1
     PYTHONPATH=src python3 tools/factor_digest.py --workload all --seed 0
@@ -25,6 +27,8 @@ So a bits-and-counts check needs no timed benchmark run.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -57,10 +61,27 @@ def _step_arrays(step):
     sol = f.solution
     yield from (f.affected, sol.origins, sol.offsets, sol.lambda_old, f.zhat)
     yield from (f.column_norms, f.column_signs, step.perm)
-    for blk in f.householder_blocks:
-        yield np.array([blk.start, blk.stop])
-        yield blk.reflector
-        yield np.array([blk.first_sign])
+    # each cluster of the reflector table as three arrays, so lines of a
+    # version that kept one object per cluster compare field by field
+    ref = f.reflectors
+    ends = np.cumsum(ref.stops - ref.starts).tolist()
+    for i, j, sign, end in zip(ref.starts.tolist(), ref.stops.tolist(),
+                               ref.first_signs.tolist(), ends):
+        yield np.array([i, j])
+        yield ref.vectors[end - (j - i) : end]
+        yield np.array([sign])
+
+
+def blas_threads() -> str:
+    """The thread count NumPy's bundled OpenBLAS reports, else the
+    OPENBLAS_NUM_THREADS setting: factor bits depend on it."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "*openblas*")):
+        get = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return str(get())
+    return os.environ.get("OPENBLAS_NUM_THREADS", "unknown")
 
 
 def digests(fact) -> dict[str, str]:
@@ -95,6 +116,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--seed", type=int, nargs="+", required=True)
     args = ap.parse_args(argv)
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    print(f"BLAS threads: {blas_threads()}", file=sys.stderr)
     for name in names:
         w = WORKLOADS[name]
         for seed in args.seed:
