@@ -6,8 +6,9 @@ rank-one update solved through the secular equation. The stored history
 applies U^T (forward) and U (inverse) as operators without ever forming U.
 
 Eigenvalue slots of every active subtree are kept sorted ascending: each
-merge starts with a concat-sort permutation and each factor carries its own
-post-update sort (new roots can leapfrog deflated eigenvalues).
+merge starts with a concat-sort permutation and each factor is followed by
+its own post-update sort (new roots can leapfrog deflated eigenvalues);
+both follow from the spectra, so a load derives them instead of reading.
 """
 
 from __future__ import annotations
@@ -24,12 +25,14 @@ from .graph import COMBINATORIAL, NORMALIZED, Graph, build_laplacian, dense_eig
 from .plan import MergePlan, read_json
 from .secular import CauchyFactor, rank_one_update_factor
 
-GFT_VERSION = 4
+GFT_VERSION = 5
 # largest n whose operator reconstruct_operator materializes densely
 DENSE_LIMIT = 2048
 # widest merge record (positions) that is served through one dense operator:
 # below it rebuilding every Cauchy block per call costs more than the multiply
 _DENSE_CACHE_MAX = 512
+# largest |u.u - 1| of a loaded reflector vector; deflate's lie within 3 eps
+_UNIT_TOL = 64.0 * float(np.finfo(np.float64).eps)
 
 
 def _unpermute(view: np.ndarray, perm: np.ndarray) -> None:
@@ -39,12 +42,22 @@ def _unpermute(view: np.ndarray, perm: np.ndarray) -> None:
     view[:] = tmp
 
 
+def _sorted(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """lam ascending and its slot sort: a stable argsort when lam is not
+    ascending, else None. factorize and the load replay share this rule."""
+    if not np.any(np.diff(lam) < 0.0):
+        return lam, None
+    perm = np.argsort(lam, kind="stable")
+    return lam[perm], perm
+
+
 @dataclass(eq=False)
 class MergeStep:
     """One bridge edge's factor plus the slot sort that follows it."""
 
     factor: CauchyFactor
-    perm: I64 | None  # local to the owning merge range; None = identity
+    # local to the owning merge range; None = identity; derived, not saved
+    perm: I64 | None = field(default=None, init=False)
 
     def apply_forward(self, view: np.ndarray) -> None:
         self.factor.apply_inplace(view)
@@ -59,20 +72,19 @@ class MergeStep:
 
 @dataclass(eq=False)
 class MergeRecord:
-    """All factors of one tree node's interface, over positions [start, stop).
+    """All factors of one tree node's interface, over the plan's range.
 
     Maps the concatenated children spectra to the node's own spectrum: the
-    concat sort, then every step. A record of at most _DENSE_CACHE_MAX
-    positions is served through one dense orthogonal r x r operator, built
-    from its steps on first use under a lock and kept (never serialized);
-    a wider one walks its steps, rebuilding each Cauchy block, per call.
+    concat sort (derived, not saved), then every step. A record of at most
+    _DENSE_CACHE_MAX positions is served through one dense orthogonal r x r
+    operator, built from its steps on first use under a lock and kept
+    (never saved); a wider one walks its steps, rebuilding each Cauchy
+    block, per call.
     """
 
     node_id: int
-    start: int
-    stop: int
-    concat_perm: I64 | None
     steps: list[MergeStep]
+    concat_perm: I64 | None = field(default=None, init=False)
     _operator: np.ndarray | None = field(default=None, init=False, repr=False)
     _lock: threading.Lock = field(
         default_factory=threading.Lock, init=False, repr=False
@@ -80,7 +92,7 @@ class MergeRecord:
 
     def apply_forward(self, view: np.ndarray) -> None:
         """Children spectra to node spectrum, in place on an (r, c) view."""
-        op = self._dense_operator()
+        op = self._dense_operator(view.shape[0])
         if op is None:
             self._walk_forward(view)
         else:
@@ -88,23 +100,23 @@ class MergeRecord:
 
     def apply_inverse(self, view: np.ndarray) -> None:
         """Node spectrum back to children spectra, in place on an (r, c) view."""
-        op = self._dense_operator()
+        op = self._dense_operator(view.shape[0])
         if op is None:
             self._walk_inverse(view)
         else:
             view[:] = op.T @ view
 
-    def _dense_operator(self) -> np.ndarray | None:
-        if self.stop - self.start > _DENSE_CACHE_MAX:
+    def _dense_operator(self, r: int) -> np.ndarray | None:
+        if r > _DENSE_CACHE_MAX:
             return None
         if self._operator is None:
             with self._lock:
                 if self._operator is None:
-                    self._operator = self._build_operator()
+                    self._operator = self._build_operator(r)
         return self._operator
 
-    def _build_operator(self) -> np.ndarray:
-        op = np.eye(self.stop - self.start)
+    def _build_operator(self, r: int) -> np.ndarray:
+        op = np.eye(r)
         self._walk_forward(op)
         return op
 
@@ -173,7 +185,8 @@ class FactorizedGft:
             if nid in scales:
                 y[s0:s1] *= scales[nid][:, None]
         for rec in self.history:
-            view = y[rec.start : rec.stop]
+            s0, s1 = self.plan.ranges[rec.node_id]
+            view = y[s0:s1]
             rec.apply_forward(view)
             if rec.node_id in scales:
                 view *= scales[rec.node_id][:, None]
@@ -184,7 +197,8 @@ class FactorizedGft:
         arr, vec = self._check_rows(x)
         y = arr.copy()
         for rec in reversed(self.history):
-            rec.apply_inverse(y[rec.start : rec.stop])
+            s0, s1 = self.plan.ranges[rec.node_id]
+            rec.apply_inverse(y[s0:s1])
         for i, basis in enumerate(self.leaf_bases):
             nid = self.plan.leaf_node_id[i]
             s0, s1 = self.plan.ranges[nid]
@@ -221,9 +235,10 @@ class FactorizedGft:
         have the shape and index range that plan implies, with each tree
         node's eigenvalues ascending, each merge's spectrum and each step's
         lambda_old equal, bit for bit, to a replay on the children's spectra,
-        each step's affected set strictly increasing and its column norms
-        positive; a missing or mistyped field, or a float array holding NaN
-        or inf, is reported the same way.
+        each step's affected set strictly increasing, its column norms
+        positive and its reflector vectors of unit length; a missing or
+        mistyped field, or a float array holding NaN or inf, is reported the
+        same way. The replay also derives every slot sort, as factorize did.
         """
         try:
             version = data["version"]
@@ -236,25 +251,22 @@ class FactorizedGft:
                 raise PlanMismatch(f"transform file kind {fact.kind!r} is not a Laplacian kind")
             if fact.plan_hash != fact.plan.content_hash():
                 raise PlanMismatch("transform file plan_hash does not match its plan")
-            fact._check_shapes()
+            fact._check_and_replay()
         except (LookupError, TypeError, ValueError, AttributeError) as exc:
             raise PlanMismatch(
                 f"malformed transform file ({type(exc).__name__}: {exc})"
             ) from exc
         return fact
 
-    def _check_shapes(self) -> None:
+    def _check_and_replay(self) -> None:
         """PlanMismatch unless every array fits the plan: shapes, index
         ranges, ascending spectra, strictly increasing affected sets,
-        positive column norms, spectra that the merges replay."""
+        positive column norms, unit reflectors, spectra that the merges
+        replay. The replay sets every record's and step's slot sort."""
 
         def expect(what: str, got, want) -> None:
             if got != want:
                 raise PlanMismatch(f"{what} has shape {got}, expected {want}")
-
-        def expect_perm(what: str, perm: np.ndarray | None, r: int) -> None:
-            if perm is not None and not np.array_equal(np.sort(perm), np.arange(r)):
-                raise PlanMismatch(f"{what} is not a permutation of {r} positions")
 
         def expect_indices(what: str, idx: np.ndarray, r: int) -> None:
             if idx.size and (idx.min() < 0 or idx.max() >= r):
@@ -276,30 +288,30 @@ class FactorizedGft:
             raise PlanMismatch("history does not hold the plan's merges in order")
         for rec in self.history:
             where = f"merge record {rec.node_id}"
-            expect(f"{where} range", (rec.start, rec.stop), plan.ranges[rec.node_id])
-            r = rec.stop - rec.start
-            expect_perm(f"{where} concat_perm", rec.concat_perm, r)
+            r = self.level_lambdas[rec.node_id].size
             # replay the merge on its children's spectra, as factorize ran it
             lam = np.concatenate([self.level_lambdas[c] for c in plan.tree[rec.node_id].children])
-            if rec.concat_perm is not None:
-                lam = lam[rec.concat_perm]
+            lam, rec.concat_perm = _sorted(lam)
             for j, step in enumerate(rec.steps):
                 f = step.factor
                 at = f"{where} step {j}"
-                expect_perm(f"{at} perm", step.perm, r)
                 expect_indices(f"{at} affected", f.affected, r)
                 if np.any(np.diff(f.affected) <= 0):
                     raise PlanMismatch(f"{at} affected is not strictly increasing")
                 expect_indices(f"{at} origins", f.solution.origins, f.affected.size)
                 ref = f.reflectors
-                expect(f"{at} reflector stops and first_signs",
-                       (ref.stops.shape, ref.first_signs.shape), (ref.starts.shape,) * 2)
+                expect(f"{at} reflector stops", ref.stops.shape, ref.starts.shape)
                 if np.any((ref.starts < 0) | (ref.starts >= ref.stops) | (ref.stops > r)):
                     raise PlanMismatch(f"{at} reflector outside {r} positions")
-                width = int(np.sum(ref.stops - ref.starts))
-                expect(f"{at} reflector", ref.vectors.shape, (width,))
+                widths = ref.stops - ref.starts
+                expect(f"{at} reflector", ref.vectors.shape, (int(np.sum(widths)),))
+                if widths.size:
+                    heads = np.cumsum(widths) - widths
+                    norm2 = np.add.reduceat(ref.vectors * ref.vectors, heads)
+                    if np.any(np.abs(norm2 - 1.0) > _UNIT_TOL):
+                        raise PlanMismatch(f"{at} reflector is not of unit length")
                 a = (f.affected.size,)
-                expect(f"{at} zhat", f.zhat.shape, a)
+                expect(f"{at} zhat", f.solution.z.shape, a)
                 expect(f"{at} column_norms", f.column_norms.shape, a)
                 if not np.all(f.column_norms > 0.0):
                     raise PlanMismatch(f"{at} column_norms are not all positive")
@@ -308,8 +320,7 @@ class FactorizedGft:
                 if lam[f.affected].tobytes() != f.solution.lambda_old.tobytes():
                     raise PlanMismatch(f"{at} lambda_old does not match the replayed spectrum")
                 lam[f.affected] = f.solution.lambda_new
-                if step.perm is not None:
-                    lam = lam[step.perm]
+                lam, step.perm = _sorted(lam)
             if lam.tobytes() != self.level_lambdas[rec.node_id].tobytes():
                 raise PlanMismatch(f"level_lambdas {rec.node_id} does not match its merge steps")
 
@@ -376,36 +387,25 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
         keys = carried[nid]
         block = zvecs[keys, s0:s1].T.copy()
         lam = np.concatenate([level_lambdas[c] for c in nd.children])
-        concat_perm: np.ndarray | None = None
-        if np.any(np.diff(lam) < 0.0):
-            concat_perm = np.argsort(lam, kind="stable")
-            lam = lam[concat_perm]
-            block = block[concat_perm]
+        rec = MergeRecord(node_id=nid, steps=[])
+        lam, rec.concat_perm = _sorted(lam)
+        if rec.concat_perm is not None:
+            block = block[rec.concat_perm]
         owned = sorted((k for k in keys if filed[k] == nid), key=lambda k: sorted((u[k], v[k])))
-        steps: list[MergeStep] = []
         for k in owned:
             j = keys.index(k)
-            factor, lam_unsorted = rank_one_update_factor(lam, block[:, j].copy(), rho=1.0)
-            perm: np.ndarray | None = None
-            if np.any(np.diff(lam_unsorted) < 0.0):
-                perm = np.argsort(lam_unsorted, kind="stable")
-                lam = lam_unsorted[perm]
-            else:
-                lam = lam_unsorted
-            step = MergeStep(factor=factor, perm=perm)
+            factor, lam = rank_one_update_factor(lam, block[:, j].copy(), rho=1.0)
+            step = MergeStep(factor=factor)
+            lam, step.perm = _sorted(lam)
             del keys[j]
             block = np.delete(block, j, axis=1)
             if keys:
                 # one batched apply beats per-edge matvecs for wide interfaces
                 step.apply_forward(block)
-            steps.append(step)
+            rec.steps.append(step)
         zvecs[keys, s0:s1] = block.T
         level_lambdas[nid] = lam
-        history.append(
-            MergeRecord(
-                node_id=nid, start=s0, stop=s1, concat_perm=concat_perm, steps=steps
-            )
-        )
+        history.append(rec)
 
     return FactorizedGft(
         plan=plan,

@@ -22,7 +22,7 @@ Numerical notes that the tolerances of this package depend on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,23 +69,23 @@ class Reflectors:
     """Householder reflectors of one update's repeated-eigenvalue clusters.
 
     Cluster k acts on positions [starts[k], stops[k]) as H = I - 2 u u^T, u
-    its unit vector (all lie end to end in `vectors`), then multiplies its
-    first coordinate by first_signs[k]: its z-mass lands there as +||z||.
+    its unit vector (all lie end to end in `vectors`), then flips the sign
+    of its first coordinate unless u[0] <= 0: its z-mass lands there as
+    +||z||. deflate gives u[0] the sign of that z-mass's first entry, so the
+    flip is derived from u, not stored.
     """
 
     starts: I64
     stops: I64
-    first_signs: F64
     vectors: F64
 
     def apply_inplace(self, x: np.ndarray, transpose: bool = False) -> None:
         """Reflect the rows of x in place; transposed, each flip comes first."""
         at = 0
-        for i, j, sign in zip(
-            self.starts.tolist(), self.stops.tolist(), self.first_signs.tolist()
-        ):
+        for i, j in zip(self.starts.tolist(), self.stops.tolist()):
             u = self.vectors[at : at + j - i]
             at += j - i
+            sign = -1.0 if u[0] > 0.0 else 1.0
             if transpose:
                 x[i] *= sign
             blk = x[i:j]
@@ -118,7 +118,8 @@ class SecularSolution:
 
     Root j is lambda_old[origins[j]] + offsets[j]; keeping the (origin,
     offset) pair preserves full relative accuracy of the pole distances
-    used everywhere downstream.
+    used everywhere downstream. solve_secular returns its input z; a
+    CauchyFactor holds the Loewner-consistent z of the same roots.
     """
 
     lambda_old: F64
@@ -147,24 +148,24 @@ class CauchyFactor:
     deflation's kept indices): forward = post-deflation Cauchy-block
     transpose after the deflation's reflector table, i.e. the map from
     old-basis to new-basis spectral coefficients. Only O(|affected|) data
-    is stored; the column signs are derived on construction and the dense
-    Cauchy block is rebuilt in column chunks on every apply.
+    is stored, the solution's z being the Loewner-consistent one; the
+    column signs are derived on construction and the dense Cauchy block is
+    rebuilt in column chunks on every apply.
     """
 
     solution: SecularSolution
     affected: I64
     reflectors: Reflectors
-    zhat: F64                # Loewner-consistent z over `affected`
     column_norms: F64
     column_signs: F64 = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # every column's first affected entry is zhat_0/(d_0 - mu_j); the
-        # sign flip makes it positive
+        # every column's first affected entry is z_0/(d_0 - mu_j); the sign
+        # flip makes it positive
         sol = self.solution
         d = sol.lambda_old
         row0_mu = (d[sol.origins] - d[:1]) + sol.offsets
-        self.column_signs = np.where(self.zhat[:1] * row0_mu <= 0.0, 1.0, -1.0)
+        self.column_signs = np.where(sol.z[:1] * row0_mu <= 0.0, 1.0, -1.0)
 
     def apply_inplace(self, y: np.ndarray, transpose: bool = False) -> None:
         """Multiply an (r, c) array over the merge's positions in place."""
@@ -172,8 +173,8 @@ class CauchyFactor:
             self.reflectors.apply_inplace(y)
         if self.affected.size:
             y[self.affected] = _cauchy_apply(
-                self.solution, self.zhat, self.column_norms,
-                self.column_signs, y[self.affected], transpose=not transpose,
+                self.solution, self.column_norms, self.column_signs,
+                y[self.affected], transpose=not transpose,
             )
         if transpose:
             self.reflectors.apply_inplace(y, transpose=True)
@@ -208,17 +209,17 @@ def deflate(lam: np.ndarray, z: np.ndarray, rho: float = 1.0) -> DeflationRecord
     close = np.concatenate(([False], lam[1:] - lam[:-1] <= tol_lambda, [False]))
     edges = np.flatnonzero(close[1:] != close[:-1])
     starts, stops = edges[0::2], edges[1::2] + 1
-    signs = np.zeros(starts.size)  # stays 0 where a cluster has no z-mass to move
+    live = np.zeros(starts.size, dtype=bool)  # clusters with z-mass to move
     vectors = [np.zeros(0)]
     for c, (i, j) in enumerate(zip(starts.tolist(), stops.tolist())):
         zb = zd[i:j]
         nrm = float(np.linalg.norm(zb))
         if nrm > 0.0:
-            sgn = 1.0 if zb[0] >= 0.0 else -1.0
+            # u_0 takes zb_0's sign (+ at 0) and |u_0| >= nrm: no cancellation
             u = zb.copy()
-            u[0] += sgn * nrm  # no cancellation: |u_0| >= nrm
+            u[0] += nrm if zb[0] >= 0.0 else -nrm
             u /= np.linalg.norm(u)
-            signs[c] = -sgn
+            live[c] = True
             vectors.append(u)
             zd[i] = nrm
             zd[i + 1 : j] = 0.0
@@ -226,12 +227,11 @@ def deflate(lam: np.ndarray, z: np.ndarray, rho: float = 1.0) -> DeflationRecord
     alive = ~close[:m]
     small = alive & (np.abs(zd) <= tol_z)
     kept = np.flatnonzero(alive & ~small)
-    live = signs != 0.0
     return DeflationRecord(
         kept=kept,
         dropped_zero=np.flatnonzero(small),
         rotated=np.flatnonzero(close[:m]),
-        reflectors=Reflectors(starts[live], stops[live], signs[live], np.concatenate(vectors)),
+        reflectors=Reflectors(starts[live], stops[live], np.concatenate(vectors)),
         z_deflated=zd[kept],
     )
 
@@ -564,7 +564,7 @@ def _cauchy_columns(d, origins, tau, zhat, norms, signs, col_idx):
     return cols
 
 
-def _cauchy_apply(sol, zhat, norms, signs, x, transpose):
+def _cauchy_apply(sol, norms, signs, x, transpose):
     """C @ x or C^T @ x over the affected block, built in column chunks."""
     d = sol.lambda_old
     m = d.size
@@ -574,7 +574,7 @@ def _cauchy_apply(sol, zhat, norms, signs, x, transpose):
     step = max(1, _CHUNK_ELEMS // max(m, 1))
     for s in range(0, m, step):
         ji = np.arange(s, min(s + step, m))
-        cblk = _cauchy_columns(d, sol.origins, sol.offsets, zhat, norms, signs, ji)
+        cblk = _cauchy_columns(d, sol.origins, sol.offsets, sol.z, norms, signs, ji)
         if transpose:
             out[ji] = cblk.T @ x
         else:
@@ -585,8 +585,9 @@ def _cauchy_apply(sol, zhat, norms, signs, x, transpose):
 def build_cauchy_factor(record: DeflationRecord, sol: SecularSolution) -> CauchyFactor:
     """Assemble the orthogonal factor for a deflated, solved rank-one update.
 
-    `record` indices define the factor's coordinate space. An empty kept set
-    yields an identity factor.
+    `record` indices define the factor's coordinate space; `sol` is kept
+    with the Loewner-consistent z of its roots, the only z an apply reads.
+    An empty kept set yields an identity factor.
     """
     zhat = norms = np.zeros(0)
     if record.kept.size:
@@ -594,9 +595,8 @@ def build_cauchy_factor(record: DeflationRecord, sol: SecularSolution) -> Cauchy
             sol.lambda_old, sol.origins, sol.offsets, sol.rho, np.sign(sol.z)
         )
     return CauchyFactor(
-        solution=sol, affected=record.kept,
-        reflectors=record.reflectors,
-        zhat=zhat, column_norms=norms,
+        solution=replace(sol, z=zhat), affected=record.kept,
+        reflectors=record.reflectors, column_norms=norms,
     )
 
 

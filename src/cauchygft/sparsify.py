@@ -113,9 +113,9 @@ def _jacobi_block_pcg(
     rhs: np.ndarray,
     tol: float,
     maxiter: int,
-    work: list[np.ndarray] | None = None,
-    rows: np.ndarray | None = None,
-    minv: np.ndarray | None = None,
+    work: list[np.ndarray],
+    rows: np.ndarray,
+    minv: np.ndarray,
 ):
     """PCG with diagonal preconditioning on all RHS columns at once.
 
@@ -125,31 +125,26 @@ def _jacobi_block_pcg(
     Returns the solution and the number of columns still above tol after
     maxiter iterations (0 when every column converged).
 
-    The solution x is iterated only at `rows` (sorted node indices; all
-    nodes when None), since no other iterate reads it. The iterates x, r, z,
-    p and the sparse product q live in five flat float64 buffers (`work`,
-    made here when None), each viewed as a contiguous array: x as
-    (len(rows), c), the others as (n, c). A caller that solves many blocks
-    passes the same buffers, sized for its widest block, and the Jacobi
-    column `minv` (`_jacobi_inverse(lap)`, made here when None) to every
-    call; the returned solution is then a view of work[0], and no array
-    with n rows is allocated here. Each element sees the ufuncs of the
-    update written with fresh arrays (IEEE products and sums commute), the
-    product is `lap @ p`'s kernel, and every column norm is
-    np.linalg.norm's axis-0 sum of squares, so the result is bit for bit
-    that of the fresh-array loop, at the requested rows.
+    The solution x is iterated only at `rows` (sorted node indices), since
+    no other iterate reads it. The iterates x, r, z, p and the sparse
+    product q live in the caller's five flat float64 buffers (`work`), each
+    viewed as a contiguous array: x as (len(rows), c), the others as
+    (n, c). A caller that solves many blocks passes the same buffers, sized
+    for its widest block, and the Jacobi column `minv`
+    (`_jacobi_inverse(lap)`) to every call; the returned solution is a view
+    of work[0], and no array with n rows is allocated here. Each element
+    sees the ufuncs of the update written with fresh arrays (IEEE products
+    and sums commute), the product is `lap @ p`'s kernel, and every column
+    norm is np.linalg.norm's axis-0 sum of squares, so the result is bit
+    for bit that of the fresh-array loop, at the requested rows.
     """
     n, c = rhs.shape
-    m = n if rows is None else rows.size
-    if work is None:
-        work = [np.empty(m * c)] + [np.empty(n * c) for _ in range(4)]
+    m = rows.size
     x = work[0][: m * c].reshape(m, c)
     r, z, p, q = (buf[: n * c].reshape(n, c) for buf in work[1:])
     # z is dead from the top of an iteration until it is recomputed from r,
     # so it is the scratch of the residual norms and of alpha * p[rows]
     step = work[2][: m * c].reshape(m, c)
-    if minv is None:
-        minv = _jacobi_inverse(lap)
     x.fill(0.0)
     np.copyto(r, rhs)
     np.multiply(minv, r, out=z)
@@ -170,7 +165,7 @@ def _jacobi_block_pcg(
         pq = np.einsum("ij,ij->j", p, q)
         alpha = np.where(active & (pq > 0.0), rz / np.where(pq == 0.0, 1.0, pq), 0.0)
         # mode="clip" gathers straight into step; the default mode buffers
-        p_rows = p if rows is None else np.take(p, rows, axis=0, out=step, mode="clip")
+        p_rows = np.take(p, rows, axis=0, out=step, mode="clip")
         x += np.multiply(alpha, p_rows, out=step)
         r -= np.multiply(alpha, q, out=q)
         np.multiply(minv, r, out=z)
@@ -376,17 +371,16 @@ def sparsify_interface(
     )
 
 
-def _as_dense(l) -> np.ndarray:
+def _as_matrix(l):
+    """A Laplacian, sparse matrix or array as a matrix, without densifying."""
     if isinstance(l, Laplacian):
-        return l.dense()
-    if sp.issparse(l):
-        return l.toarray()
-    return np.asarray(l, dtype=np.float64)
+        return l.matrix
+    return l if sp.issparse(l) else np.asarray(l, dtype=np.float64)
 
 
-def _components(lap: np.ndarray) -> int:
+def _components(lap) -> int:
     """Connected components of a Laplacian's nonzero pattern."""
-    return connected_components(sp.csr_matrix(lap), directed=False)[0]
+    return connected_components(sp.csr_matrix(lap != 0), directed=False)[0]
 
 
 def verify_spectral_bound(
@@ -400,17 +394,22 @@ def verify_spectral_bound(
 
     Random unit directions always; for n <= _BOUND_DENSE_N the generalized
     eigenvalue extremes on the range of L are included, which makes the
-    reported ratios the true worst case. Probabilistic at aggressive
-    sampling rates, so this reports rather than asserts. One exact case
-    overrides the samples: when L' has more connected components than L,
-    some vector constant on each component of L' but not on each component
-    of L has ratio 0, so the report reads ratio_min 0.0 and fails.
+    reported ratios the true worst case. Only that path densifies L and
+    L'; above it the directions and the component count use the matrices
+    as given, sparse ones sparse. Probabilistic at aggressive sampling
+    rates, so this reports rather than asserts. One exact case overrides
+    the samples: when L' has more connected components than L, some vector
+    constant on each component of L' but not on each component of L has
+    ratio 0, so the report reads ratio_min 0.0 and fails.
     """
-    a = _as_dense(l_orig)
-    b = _as_dense(l_sparse)
+    a = _as_matrix(l_orig)
+    b = _as_matrix(l_sparse)
     if a.shape != b.shape:
         raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
     n = a.shape[0]
+    dense = n <= _BOUND_DENSE_N
+    if dense:
+        a, b = (m.toarray() if sp.issparse(m) else m for m in (a, b))
     rng = np.random.default_rng(seed)
     ratios = []
     for _ in range(trials):
@@ -422,7 +421,6 @@ def verify_spectral_bound(
         ratios.append(float(x @ (b @ x)) / qa)
     lo = min(ratios) if ratios else 1.0
     hi = max(ratios) if ratios else 1.0
-    dense = n <= _BOUND_DENSE_N
     if dense:
         w, u = np.linalg.eigh(a)
         pos = w > 1e-10 * max(1.0, float(w[-1]))

@@ -300,7 +300,6 @@ class TestFilterCmd:
             ("version", "version 99"),
             ("cut_bytes", "error:"),
             ("short_zhat", "zhat has shape"),
-            ("perm_length", "perm is not a permutation"),
             ("text_zhat", "malformed transform file"),
             ("short_level_lambdas", "level_lambdas"),
             ("origin_index", "origins has an index outside"),
@@ -316,7 +315,7 @@ class TestFilterCmd:
         data = json.loads(text)
         factor = data["history"][0]["steps"][0]["factor"]
         if damage == "drop_key":
-            del factor["zhat"]
+            del factor["solution"]["z"]
         elif damage == "plan_hash":
             data["plan_hash"] = "0" * 16
         elif damage == "version":
@@ -331,12 +330,9 @@ class TestFilterCmd:
         elif damage == "misnumbered":
             data["tree"][0]["id"], data["tree"][1]["id"] = 1, 0
         elif damage == "short_zhat":
-            factor["zhat"] = factor["zhat"][:-1]
-        elif damage == "perm_length":
-            rec = data["history"][0]
-            rec["steps"][0]["perm"] = list(range(rec["stop"] - rec["start"] + 1))
+            factor["solution"]["z"] = factor["solution"]["z"][:-1]
         elif damage == "text_zhat":
-            factor["zhat"][0] = "x"
+            factor["solution"]["z"][0] = "x"
         elif damage == "short_level_lambdas":
             node = str(data["history"][0]["node_id"])
             data["level_lambdas"][node] = data["level_lambdas"][node][:-1]
@@ -348,7 +344,7 @@ class TestFilterCmd:
         elif damage == "zero_column_norm":
             factor["column_norms"][0] = 0.0
         elif damage == "nan_zhat":
-            factor["zhat"][0] = float("nan")
+            factor["solution"]["z"][0] = float("nan")
         elif damage == "bogus_kind":
             data["kind"] = "bogus"
         if damage == "cut_bytes":

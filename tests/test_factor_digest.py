@@ -53,8 +53,8 @@ def test_one_leaf_eigenvector_sign_moves_served_bits(factor_digest):
 def test_one_ulp_of_one_zhat_moves_steps_only(factor_digest):
     fact = small_transform()
     before = factor_digest.digests(fact)
-    zhat = next(st.factor.zhat for rec in fact.history for st in rec.steps
-                if st.factor.zhat.size)
+    zhat = next(st.factor.solution.z for rec in fact.history for st in rec.steps
+                if st.factor.solution.z.size)
     zhat[0] = np.nextafter(zhat[0], np.inf)
     after = factor_digest.digests(fact)
     assert after["steps"] != before["steps"]

@@ -56,11 +56,18 @@ def factor_bytes(f):
                 a.tobytes()
                 for a in (
                     fa.affected, fa.solution.origins, fa.solution.offsets,
-                    fa.zhat, fa.column_norms, fa.column_signs,
+                    fa.solution.z, fa.column_norms, fa.column_signs,
                 )
             ]
             out.append(None if step.perm is None else step.perm.tobytes())
     return out
+
+
+def same_perm(a, b):
+    """Two slot sorts are equal: both the identity (None) or the same bytes."""
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def check_against_dense(g, f, tol=1e-8, kind="combinatorial"):
@@ -234,7 +241,6 @@ class TestStructure:
         assert sum(len(r.steps) for r in f.history) == plan.total_bridges
         for rec in f.history:
             s0, s1 = plan.ranges[rec.node_id]
-            assert (rec.start, rec.stop) == (s0, s1)
             for step in rec.steps:
                 f = step.factor
                 if f.affected.size:
@@ -318,11 +324,11 @@ class TestStructure:
                 saved["history"] = []
             elif damage == "reflector":
                 saved["history"][0]["steps"][0]["factor"]["reflectors"] = {
-                    "starts": [2], "stops": [5], "first_signs": [1.0], "vectors": [1.0, 0.0, 0.0]
+                    "starts": [2], "stops": [5], "vectors": [1.0, 0.0, 0.0]
                 }
             elif damage == "reflector_length":
                 saved["history"][0]["steps"][0]["factor"]["reflectors"] = {
-                    "starts": [0], "stops": [3], "first_signs": [1.0], "vectors": [1.0, 0.0]
+                    "starts": [0], "stops": [3], "vectors": [1.0, 0.0]
                 }
             FactorizedGft.from_dict(saved)
 
@@ -410,14 +416,14 @@ class TestSerialization:
         f.save(str(path))
         data = json.loads(path.read_text())
         assert "lambda_final" not in data
+        for rec in data["history"]:
+            assert set(rec) == {"node_id", "steps"}
         for step in (st for rec in data["history"] for st in rec["steps"]):
-            assert set(step) == {"perm", "factor"}
+            assert set(step) == {"factor"}
             assert set(step["factor"]) == {
-                "solution", "affected", "reflectors", "zhat", "column_norms"
+                "solution", "affected", "reflectors", "column_norms"
             }
-            assert set(step["factor"]["reflectors"]) == {
-                "starts", "stops", "first_signs", "vectors"
-            }
+            assert set(step["factor"]["reflectors"]) == {"starts", "stops", "vectors"}
             assert set(step["factor"]["solution"]) == {
                 "lambda_old", "z", "rho", "origins", "offsets"
             }
@@ -456,6 +462,11 @@ class TestSerialization:
         assert np.array_equal(f.forward(x), loaded.forward(x))
         for a, b in zip(steps, (st for rec in loaded.history for st in rec.steps)):
             assert a.factor.column_signs.tobytes() == b.factor.column_signs.tobytes()
+        # the slot sorts are derived, not saved: the replay rebuilds each one
+        for a, b in zip(f.history, loaded.history):
+            assert same_perm(a.concat_perm, b.concat_perm)
+            for sa, sb in zip(a.steps, b.steps):
+                assert same_perm(sa.perm, sb.perm)
 
     def test_version_one_file_refused(self):
         data = self.deflating_transform().to_dict()
@@ -467,14 +478,22 @@ class TestSerialization:
         # version 2 stored each step's deflation report and lambda_final
         data = self.deflating_transform().to_dict()
         data["version"] = 2
-        with pytest.raises(PlanMismatch, match="version 2, expected 4"):
+        with pytest.raises(PlanMismatch, match="version 2, expected 5"):
             FactorizedGft.from_dict(data)
 
     def test_version_three_file_refused(self):
         # version 3 stored each cluster's reflector as its own object
         data = self.deflating_transform().to_dict()
         data["version"] = 3
-        with pytest.raises(PlanMismatch, match="version 3, expected 4"):
+        with pytest.raises(PlanMismatch, match="version 3, expected 5"):
+            FactorizedGft.from_dict(data)
+
+    def test_version_four_file_refused(self):
+        # version 4 stored every slot sort, each reflector's first sign,
+        # each record's position range and the solver's z beside zhat
+        data = self.deflating_transform().to_dict()
+        data["version"] = 4
+        with pytest.raises(PlanMismatch, match="version 4, expected 5"):
             FactorizedGft.from_dict(data)
 
     @pytest.mark.parametrize(
@@ -484,6 +503,7 @@ class TestSerialization:
             ("inf_lambda_final", "NaN or inf"),
             ("nan_leaf_basis", "NaN or inf"),
             ("inf_reflector", "NaN or inf"),
+            ("scaled_reflector", "reflector is not of unit length"),
             ("bogus_kind", "kind 'bogus' is not a Laplacian kind"),
             ("repeated_affected", "affected is not strictly increasing"),
             ("zero_column_norm", "column_norms are not all positive"),
@@ -493,7 +513,7 @@ class TestSerialization:
         data = json.loads(json.dumps(self.deflating_transform().to_dict()))
         factors = [st["factor"] for rec in data["history"] for st in rec["steps"]]
         if damage == "nan_zhat":
-            next(fc for fc in factors if fc["zhat"])["zhat"][0] = math.nan
+            next(fc for fc in factors if fc["solution"]["z"])["solution"]["z"][0] = math.nan
         elif damage == "inf_lambda_final":  # the root node's spectrum
             data["level_lambdas"][str(len(data["plan"]["tree"]) - 1)][-1] = math.inf
         elif damage == "nan_leaf_basis":
@@ -501,6 +521,9 @@ class TestSerialization:
         elif damage == "inf_reflector":
             table = next(fc["reflectors"] for fc in factors if fc["reflectors"]["vectors"])
             table["vectors"][0] = -math.inf
+        elif damage == "scaled_reflector":  # loaded before the unit check
+            table = next(fc["reflectors"] for fc in factors if fc["reflectors"]["vectors"])
+            table["vectors"][0] *= 3.0
         elif damage == "bogus_kind":
             data["kind"] = "bogus"
         elif damage == "repeated_affected":
@@ -522,6 +545,24 @@ class TestSerialization:
         root[30] = 2.4997
         with pytest.raises(PlanMismatch, match=f"level_lambdas {root_id} does not match"):
             FactorizedGft.from_dict(data)
+
+    def test_default_plan_load_derives_every_sort(self, tmp_path):
+        # BA(500) under the default plan: hundreds of steps, many of them
+        # followed by a slot sort, none of which the file stores
+        g = barabasi_albert(500, 2, seed=0)
+        f = factorize(g, build_plan(g, seed=0).plan)
+        path = tmp_path / "f.json"
+        f.save(str(path))
+        loaded = FactorizedGft.load(str(path))
+        assert any(st.perm is not None for rec in f.history for st in rec.steps)
+        assert any(rec.concat_perm is not None for rec in f.history)
+        for a, b in zip(f.history, loaded.history, strict=True):
+            assert same_perm(a.concat_perm, b.concat_perm)
+            for sa, sb in zip(a.steps, b.steps, strict=True):
+                assert same_perm(sa.perm, sb.perm)
+        x = np.random.default_rng(9).standard_normal((f.n, 3))
+        assert loaded.forward(x).tobytes() == f.forward(x).tobytes()
+        assert loaded.inverse(x).tobytes() == f.inverse(x).tobytes()
 
     @pytest.mark.parametrize("text", ["", "{\"version\": 2, \"plan\"", "not json"])
     def test_unreadable_file_raises_plan_mismatch(self, tmp_path, text):
@@ -547,7 +588,8 @@ def walk_forward(f, x, cfg=None):
         if cfg is not None and nid in cfg.node_filters:
             y[s0:s1] *= cfg.node_filters[nid](f.level_lambdas[nid])[:, None]
     for rec in f.history:
-        view = y[rec.start : rec.stop]
+        s0, s1 = f.plan.ranges[rec.node_id]
+        view = y[s0:s1]
         if rec.concat_perm is not None:
             view[:] = view[rec.concat_perm]
         for step in rec.steps:
@@ -561,7 +603,8 @@ def walk_inverse(f, x):
     """Reference U x: every step transposed in reverse, then the leaf bases."""
     y = x.copy()
     for rec in reversed(f.history):
-        view = y[rec.start : rec.stop]
+        s0, s1 = f.plan.ranges[rec.node_id]
+        view = y[s0:s1]
         for step in reversed(rec.steps):
             step.apply_inverse(view)
         if rec.concat_perm is not None:
@@ -582,7 +625,7 @@ class TestRecordOperators:
 
     def test_served_transforms_match_step_walk(self, monkeypatch):
         f = self.default_plan_transform()
-        assert all(rec.stop - rec.start <= _DENSE_CACHE_MAX for rec in f.history)
+        assert all(s1 - s0 <= _DENSE_CACHE_MAX for s0, s1 in f.plan.ranges.values())
         x = np.random.default_rng(6).standard_normal((f.n, 3))
         cfg = FilterLayerConfig(
             node_filters={nd.id: heat_filter(0.3) for nd in f.plan.tree[::3]}
@@ -628,7 +671,7 @@ class TestRecordOperators:
         assert factor.reflectors.starts.size == 0
         x = rng.standard_normal((m, 5))
         sol = factor.solution
-        c = _cauchy_columns(sol.lambda_old, sol.origins, sol.offsets, factor.zhat,
+        c = _cauchy_columns(sol.lambda_old, sol.origins, sol.offsets, sol.z,
                             factor.column_norms, factor.column_signs, np.arange(m))
         y = x.copy()
         factor.apply_inplace(y)
@@ -639,9 +682,9 @@ class TestRecordOperators:
         builds = []
         build = MergeRecord._build_operator
 
-        def counted(rec):
+        def counted(rec, r):
             builds.append(rec.node_id)
-            return build(rec)
+            return build(rec, r)
 
         monkeypatch.setattr(MergeRecord, "_build_operator", counted)
         x = np.random.default_rng(8).standard_normal((f.n, 2))

@@ -22,11 +22,12 @@ def updated_matrix(lam, z, rho):
 
 
 def clusters(reflectors):
-    """(start, stop, first sign, unit vector) of each cluster in a reflector table."""
+    """(start, stop, first sign, unit vector) of each cluster in a reflector
+    table; the sign flips the first coordinate unless the vector's head is <= 0."""
     ends = np.cumsum(reflectors.stops - reflectors.starts)
-    for i, j, sign, end in zip(reflectors.starts.tolist(), reflectors.stops.tolist(),
-                               reflectors.first_signs.tolist(), ends.tolist()):
-        yield i, j, sign, reflectors.vectors[end - (j - i) : end]
+    for i, j, end in zip(reflectors.starts.tolist(), reflectors.stops.tolist(), ends.tolist()):
+        u = reflectors.vectors[end - (j - i) : end]
+        yield i, j, -1.0 if u[0] > 0.0 else 1.0, u
 
 
 def deflation_transform(record, n):
@@ -47,7 +48,7 @@ def applied(factor, x, transpose=False):
 
 def cauchy_block(f):
     s = f.solution
-    return secular._cauchy_columns(s.lambda_old, s.origins, s.offsets, f.zhat, f.column_norms,
+    return secular._cauchy_columns(s.lambda_old, s.origins, s.offsets, s.z, f.column_norms,
                                    f.column_signs, np.arange(f.affected.size))
 
 
@@ -339,7 +340,7 @@ class TestCacheBlocking:
             assert factor.affected.size > _DENSE_CACHE_MAX
             sol = factor.solution
             arrays = (
-                sol.origins, sol.offsets, factor.zhat, factor.column_norms,
+                sol.origins, sol.offsets, sol.z, factor.column_norms,
                 factor.column_signs, applied(factor, x), applied(factor, x, transpose=True),
             )
             results.append([a.tobytes() for a in arrays])
@@ -485,7 +486,7 @@ class TestReferenceLoops:
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         table = rec.reflectors
         assert table.starts.dtype == table.stops.dtype == np.int64
-        assert table.first_signs.dtype == table.vectors.dtype == np.float64
+        assert table.vectors.dtype == np.float64
         got = list(clusters(table))
         assert len(got) == len(blocks)
         for (gi, gj, gsign, gu), (i, j, u, sign) in zip(got, blocks):

@@ -12,7 +12,7 @@ from cauchygft.errors import (
     InvalidParams,
     SolverNotConverged,
 )
-from cauchygft.graph import Graph, barabasi_albert, build_laplacian
+from cauchygft.graph import Graph, Laplacian, barabasi_albert, build_laplacian
 from cauchygft.partition import build_plan
 from cauchygft.sparsify import (
     ResistanceEstimate,
@@ -25,6 +25,15 @@ from cauchygft.sparsify import (
     sparsify_interface,
     verify_spectral_bound,
 )
+
+
+def block_pcg(lap, rhs, tol, maxiter, rows=None):
+    """_jacobi_block_pcg with fresh buffers, at `rows` (every row when None)."""
+    n, c = rhs.shape
+    rows = np.arange(n) if rows is None else rows
+    work = [np.empty(rows.size * c)] + [np.empty(n * c) for _ in range(4)]
+    minv = sparsify._jacobi_inverse(lap)
+    return _jacobi_block_pcg(lap, rhs, tol, maxiter, work, rows, minv)
 
 
 def edges_of(g):
@@ -114,7 +123,7 @@ class TestSketchBlocks:
         yt = np.zeros((g.n, k))
         np.add.at(yt, g.uu, root_w[:, None] * signs)
         np.add.at(yt, g.vv, -root_w[:, None] * signs)
-        sol, unconverged = _jacobi_block_pcg(build_laplacian(g).matrix, yt, 1e-8, 1000)
+        sol, unconverged = block_pcg(build_laplacian(g).matrix, yt, 1e-8, 1000)
         assert unconverged == 0
         return np.array([np.sum((sol[u] - sol[v]) ** 2) for u, v in zip(g.uu, g.vv)])
 
@@ -205,7 +214,7 @@ class TestSketchBlocks:
         for cols in (slice(0, 61), slice(61, 63)):
             want, want_unconverged = self.textbook_pcg(lap, rhs[:, cols], 1e-8, maxiter)
             for at, expect in ((None, want), (rows, want[rows])):
-                x, unconverged = _jacobi_block_pcg(lap, rhs[:, cols], 1e-8, maxiter, rows=at)
+                x, unconverged = block_pcg(lap, rhs[:, cols], 1e-8, maxiter, rows=at)
                 assert x.tobytes() == expect.tobytes()
                 assert unconverged == want_unconverged
                 assert (unconverged == 0) == (maxiter == 1000)
@@ -219,8 +228,9 @@ class TestSketchBlocks:
         rhs = np.random.default_rng(8).standard_normal((g.n, 63))
         rhs -= rhs.mean(axis=0)
         work = [np.empty(g.n * 61) for _ in range(5)]
+        rows, minv = np.arange(g.n), sparsify._jacobi_inverse(lap)
         for cols in (slice(0, 61), slice(61, 63)):
-            x, unconverged = _jacobi_block_pcg(lap, rhs[:, cols], 1e-8, 1000, work)
+            x, unconverged = _jacobi_block_pcg(lap, rhs[:, cols], 1e-8, 1000, work, rows, minv)
             want, _ = self.textbook_pcg(lap, rhs[:, cols], 1e-8, 1000)
             assert unconverged == 0
             assert np.shares_memory(x, work[0]) and x.flags.c_contiguous
@@ -228,17 +238,18 @@ class TestSketchBlocks:
 
     @pytest.mark.parametrize("endpoints", [False, True])
     def test_block_pcg_with_caller_buffers_allocates_no_block(self, endpoints):
-        # given its buffers, a solve allocates per-column scalars and the
-        # Jacobi column, never an (n, c) array such as a fresh lap @ p
+        # given its buffers, a solve allocates per-column scalars, never an
+        # (n, c) array such as a fresh lap @ p
         g = barabasi_albert(300, 2, seed=6)
         lap = build_laplacian(g).matrix
         rhs = np.random.default_rng(8).standard_normal((g.n, 61))
         rhs -= rhs.mean(axis=0)
-        rows = self.endpoint_rows(g) if endpoints else None
+        rows = self.endpoint_rows(g) if endpoints else np.arange(g.n)
         work = [np.empty(g.n * 61) for _ in range(5)]
+        minv = sparsify._jacobi_inverse(lap)
         tracemalloc.start()
         try:
-            _, unconverged = _jacobi_block_pcg(lap, rhs, 1e-8, 1000, work, rows=rows)
+            _, unconverged = _jacobi_block_pcg(lap, rhs, 1e-8, 1000, work, rows, minv)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -454,6 +465,25 @@ class TestSpectralBound:
         assert rep.ratio_min == 0.0
         assert 0.0 < rep.ratio_max <= 1.0 + 1e-9
         assert not rep.passed
+
+    def test_above_dense_limit_never_densifies(self, monkeypatch):
+        # n = 400: the directions and the component count use the sparse
+        # Laplacians, so no n x n array is built
+        def refuse(lap):
+            raise AssertionError("densified a Laplacian above the dense limit")
+
+        g = barabasi_albert(400, 2, seed=5)
+        assert g.n > sparsify._BOUND_DENSE_N
+        lap = build_laplacian(g)
+        # node 0 loses its edges: one component more
+        cut = build_laplacian(Graph.from_edges(g.n, [e for e in edges_of(g) if 0 not in e[:2]]))
+        monkeypatch.setattr(Laplacian, "dense", refuse)
+        rep = verify_spectral_bound(lap, 1.25 * lap.matrix, eps=0.5, trials=20, seed=0)
+        assert not rep.dense_extremes and rep.passed
+        assert rep.ratio_min == pytest.approx(1.25, abs=1e-9)
+        assert rep.ratio_max == pytest.approx(1.25, abs=1e-9)
+        rep = verify_spectral_bound(lap, cut, eps=0.5, trials=20, seed=0)
+        assert rep.ratio_min == 0.0 and not rep.passed
 
     def test_sparsified_ba_interfaces(self):
         # dense BA graphs: redundant interfaces are the sparsifier's regime;

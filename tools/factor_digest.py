@@ -4,9 +4,12 @@ Builds each graph and plan exactly as an untraced benchmark run does
 (`perfbench/workload.py`: its workloads, graph seeds and plan recipes,
 imported read-only), factorizes it, and prints one JSON line per plan with
 the sha256 of `lambda_final`, of the leaf bases, of `level_lambdas` and of
-every step's arrays (affected, origins, offsets, lambda_old, zhat, column
-norms and signs, perm, and per cluster of the reflector table its start and
-stop, unit vector and first sign): what a factor keeps. `fwd` and `inv`
+every step's arrays (affected, origins, offsets, lambda_old, the factor's
+z, column norms and signs, perm, and per cluster of the reflector table its
+start and stop, unit vector and first sign): what a factor keeps or
+derives. The layout of lines does not follow the saved layout, so lines of
+a version that stored a z beside the factor's, every sort, each first sign
+and each record's range compare with this one's field by field. `fwd` and `inv`
 hash `forward` and `inverse` of one seeded n x 3 block, so the serving
 path (dense merge operators, the step walk) is covered too. Each line also
 carries the plan's `content_hash()`, which covers the sampled bridge
@@ -59,17 +62,18 @@ def _feed(h, arr) -> None:
 def _step_arrays(step):
     f = step.factor
     sol = f.solution
-    yield from (f.affected, sol.origins, sol.offsets, sol.lambda_old, f.zhat)
+    yield from (f.affected, sol.origins, sol.offsets, sol.lambda_old, sol.z)
     yield from (f.column_norms, f.column_signs, step.perm)
-    # each cluster of the reflector table as three arrays, so lines of a
-    # version that kept one object per cluster compare field by field
+    # each cluster of the reflector table as three arrays, its sign derived
+    # from its vector's head, so lines of a version that kept one object
+    # per cluster compare field by field
     ref = f.reflectors
     ends = np.cumsum(ref.stops - ref.starts).tolist()
-    for i, j, sign, end in zip(ref.starts.tolist(), ref.stops.tolist(),
-                               ref.first_signs.tolist(), ends):
+    for i, j, end in zip(ref.starts.tolist(), ref.stops.tolist(), ends):
+        u = ref.vectors[end - (j - i) : end]
         yield np.array([i, j])
-        yield ref.vectors[end - (j - i) : end]
-        yield np.array([sign])
+        yield u
+        yield np.array([-1.0 if u[0] > 0.0 else 1.0])
 
 
 def blas_threads() -> str:
@@ -97,7 +101,8 @@ def digests(fact) -> dict[str, str]:
         _feed(parts["level_lambdas"], fact.level_lambdas[nid])
     for rec in fact.history:
         h = parts["steps"]
-        h.update(f"{rec.node_id},{rec.start},{rec.stop},{len(rec.steps)};".encode())
+        s0, s1 = fact.plan.ranges[rec.node_id]
+        h.update(f"{rec.node_id},{s0},{s1},{len(rec.steps)};".encode())
         _feed(h, rec.concat_perm)
         for step in rec.steps:
             for arr in _step_arrays(step):
