@@ -1,16 +1,15 @@
 """Command-line driver: factorize, partition, bench, filter.
 
 Exit codes: 0 success (and verification within tolerance), 1 verification
-failure, 2 input or configuration errors. CAUCHY_GFT_SEED provides the seed
-when --seed is not given.
+failure, 2 input or configuration errors.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -47,14 +46,14 @@ def _plan_for(args, g):
     )
 
 
-def _add_plan_args(p, seed: str):
+def _add_plan_args(p):
     """The graph and plan-recipe arguments of factorize and partition."""
     p.add_argument("graph", nargs="?", help="graph file (edge-list format)")
     p.add_argument(
         "--ba", nargs=3, metavar=("N", "M", "SEED"), type=int,
         help="generate a preferential-attachment graph instead of reading a file",
     )
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-levels", type=int, default=8)
     p.add_argument("--force-levels", type=int, default=0,
                    help="accept the first splits unconditionally")
@@ -131,10 +130,7 @@ def cmd_partition(args) -> int:
             build_laplacian(g), build_laplacian(res.graph),
             eps=args.eps, trials=args.trials, seed=args.seed,
         )
-        report["bound"] = {
-            "eps": rep.eps, "ratio_min": rep.ratio_min, "ratio_max": rep.ratio_max,
-            "dense_extremes": rep.dense_extremes, "passed": rep.passed,
-        }
+        report["bound"] = asdict(rep)
         print(
             f"quadratic-form ratios in [{rep.ratio_min:.3f}, {rep.ratio_max:.3f}] "
             f"({'pass' if rep.passed else 'fail'} at eps={rep.eps})"
@@ -188,10 +184,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Graph Fourier transforms as chains of localized Cauchy factors",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    seed = os.environ.get("CAUCHY_GFT_SEED", "0")  # argparse applies type=int
 
     p = sub.add_parser("factorize", help="factorize a graph and optionally verify")
-    _add_plan_args(p, seed)
+    _add_plan_args(p)
     p.add_argument("--plan", help="use a saved plan instead of building one")
     p.add_argument("--kind", choices=["combinatorial", "normalized"],
                    default="combinatorial")
@@ -205,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "partition", help="build a merge plan, optionally sparsify and report"
     )
-    _add_plan_args(p, seed)
+    _add_plan_args(p)
     p.add_argument("--out", help="plan JSON path")
     p.add_argument("--graph-out", help="write the (sparsified) graph here")
     p.add_argument("--report", help="JSON report path")
@@ -223,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int,
                    help=f"node count of the --cuts sweep (default {bench_mod.CUT_N})")
     p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="CSV output path")
     p.set_defaults(fn=cmd_bench)
 

@@ -42,7 +42,8 @@ class DimensionMismatch(CauchyGftError, ValueError):
 
 
 class PlanMismatch(CauchyGftError):
-    """A merge plan does not cover the graph it is applied to."""
+    """A merge plan does not cover the graph it is applied to, or a saved plan or
+    transform file is malformed or does not match its plan."""
 
 
 class Disconnected(CauchyGftError):

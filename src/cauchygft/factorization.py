@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import F64, I64, fields_from_dict, fields_to_dict
-from .errors import DimensionMismatch, PlanMismatch, TooLarge, ZeroDegreeNode
-from .graph import COMBINATORIAL, NORMALIZED, Graph, build_laplacian, dense_eig
+from .errors import DimensionMismatch, PlanMismatch, TooLarge
+from .graph import COMBINATORIAL, NORMALIZED, Graph, build_laplacian, dense_eig, inv_sqrt_degrees
 from .plan import MergePlan, read_json
 from .secular import CauchyFactor, rank_one_update_factor
 
@@ -329,11 +329,10 @@ class FactorizedGft:
         return cls.from_dict(read_json(path, "transform"))
 
 
-def _leaf_block(g: Graph, leaf: np.ndarray, kind: str, inv_sqrt_deg) -> np.ndarray:
-    """Dense Laplacian of the bridge-stripped graph restricted to one leaf."""
-    sub, _ = g.induced_subgraph(leaf)
-    block = build_laplacian(sub, COMBINATORIAL).dense()
-    if kind == NORMALIZED:
+def _leaf_block(g: Graph, leaf: np.ndarray, inv_sqrt_deg) -> np.ndarray:
+    """Dense Laplacian of the bridge-stripped graph on one leaf, D^{-1/2}-scaled if given."""
+    block = build_laplacian(g.induced_subgraph(leaf)).dense()
+    if inv_sqrt_deg is not None:
         s = inv_sqrt_deg[leaf]
         block = block * np.outer(s, s)
     return block
@@ -347,20 +346,12 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
     """
     plan.validate(g)
     n = g.n
-    inv_sqrt_deg = None
-    if kind == NORMALIZED:
-        deg = g.degrees()
-        zero = np.flatnonzero(deg == 0.0)
-        if zero.size:
-            raise ZeroDegreeNode(int(zero[0]))
-        inv_sqrt_deg = 1.0 / np.sqrt(deg)
-    elif kind != COMBINATORIAL:
-        raise PlanMismatch(f"unknown Laplacian kind {kind!r}")
+    inv_sqrt_deg = inv_sqrt_degrees(g, kind)
 
     leaf_bases: list[np.ndarray] = []
     level_lambdas: dict[int, np.ndarray] = {}
     for i, leaf in enumerate(plan.leaves):
-        lam, basis = dense_eig(_leaf_block(g, leaf, kind, inv_sqrt_deg))
+        lam, basis = dense_eig(_leaf_block(g, leaf, inv_sqrt_deg))
         leaf_bases.append(basis)
         level_lambdas[plan.leaf_node_id[i]] = lam
 
@@ -368,7 +359,7 @@ def factorize(g: Graph, plan: MergePlan, kind: str = COMBINATORIAL) -> Factorize
     # eigenbases: at first its two endpoint entries rotated by their leaves
     u, v, w, filed = plan.bridge_arrays()
     scale_u, scale_v = np.sqrt(w), -np.sqrt(w)
-    if kind == NORMALIZED:
+    if inv_sqrt_deg is not None:
         scale_u, scale_v = scale_u * inv_sqrt_deg[u], scale_v * inv_sqrt_deg[v]
     zvecs = np.zeros((u.size, n))
     for ends, scale in ((u, scale_u), (v, scale_v)):

@@ -1,8 +1,9 @@
 """Graph container, Laplacians, rank-one edge decomposition, generators and file IO.
 
 Conventions: nodes are 0-based, edges are undirected and stored once with
-u < v, weights are strictly positive, self-loops live in a separate diagonal
-map (they add to the Laplacian diagonal only).
+u < v, weights are finite and strictly positive, self-loops live in a
+separate diagonal map of finite nonnegative weights (they add to the
+Laplacian diagonal only).
 """
 
 from __future__ import annotations
@@ -45,36 +46,42 @@ class Graph:
         edges: list[tuple[int, int, float]] | np.ndarray,
         self_loops: dict[int, float] | None = None,
     ) -> Graph:
+        """Graph from (u, v, w) triples, a list or an (E, 3) array, read once as
+        float64 (integer endpoints come back exact) and put in canonical order.
+        Input that is not (E, 3), or that breaks a convention above, raises
+        InvalidParams."""
         if n < 0:
             raise InvalidParams("node count must be nonnegative")
-        if len(edges) == 0:
-            uu = np.zeros(0, dtype=np.int64)
-            vv = np.zeros(0, dtype=np.int64)
-            ww = np.zeros(0, dtype=np.float64)
-        else:
-            arr = np.asarray([(e[0], e[1]) for e in edges], dtype=np.int64)
-            ww = np.asarray([e[2] for e in edges], dtype=np.float64)
-            uu = arr[:, 0]
-            vv = arr[:, 1]
-            uu, vv = np.minimum(uu, vv), np.maximum(uu, vv)
-            order = np.lexsort((vv, uu))
-            uu, vv, ww = uu[order], vv[order], ww[order]
-            if uu.min() < 0 or vv.max() >= n:
-                raise InvalidParams("edge endpoint out of range")
-            if np.any(uu == vv):
-                raise InvalidParams("self-loops must go in the self_loops map")
-            if np.any(ww <= 0.0):
-                raise InvalidParams("edge weights must be strictly positive")
-            dup = (uu[1:] == uu[:-1]) & (vv[1:] == vv[:-1])
-            if np.any(dup):
-                i = int(np.argmax(dup))
-                raise InvalidParams(f"duplicate edge ({uu[i]}, {vv[i]})")
+        try:
+            arr = np.asarray(edges, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParams(f"edges must be (u, v, w) triples: {exc}") from exc
+        if arr.size == 0:
+            arr = arr.reshape(0, 3)
+        if arr.shape[1:] != (3,):
+            raise InvalidParams(f"edges must be (u, v, w) triples, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise InvalidParams("edge endpoints and weights must be finite")
+        uu, vv = arr[:, 0].astype(np.int64), arr[:, 1].astype(np.int64)
+        uu, vv = np.minimum(uu, vv), np.maximum(uu, vv)
+        order = np.lexsort((vv, uu))
+        uu, vv, ww = uu[order], vv[order], arr[order, 2]
+        if np.any(uu < 0) or np.any(vv >= n):
+            raise InvalidParams("edge endpoint out of range")
+        if np.any(uu == vv):
+            raise InvalidParams("self-loops must go in the self_loops map")
+        if np.any(ww <= 0.0):
+            raise InvalidParams("edge weights must be strictly positive")
+        dup = (uu[1:] == uu[:-1]) & (vv[1:] == vv[:-1])
+        if np.any(dup):
+            i = int(np.argmax(dup))
+            raise InvalidParams(f"duplicate edge ({uu[i]}, {vv[i]})")
         loops = dict(self_loops) if self_loops else {}
         for i, v in loops.items():
             if not 0 <= i < n:
                 raise InvalidParams(f"self-loop node {i} out of range")
-            if v < 0.0:
-                raise InvalidParams("self-loop weights must be nonnegative")
+            if not 0.0 <= v < np.inf:
+                raise InvalidParams("self-loop weights must be nonnegative and finite")
         return cls(n=n, uu=uu, vv=vv, ww=ww, self_loops=loops)
 
     @property
@@ -94,23 +101,15 @@ class Graph:
         c = np.concatenate([self.vv, self.uu])
         return sp.csr_matrix((w, (r, c)), shape=(self.n, self.n))
 
-    def induced_subgraph(self, nodes: np.ndarray) -> tuple[Graph, np.ndarray]:
-        """Subgraph on `nodes`, relabelled 0..len-1. Returns (subgraph, nodes)."""
+    def induced_subgraph(self, nodes: np.ndarray) -> Graph:
+        """Subgraph on `nodes` (any order), nodes[i] relabelled i; edges re-sorted."""
         nodes = np.asarray(nodes, dtype=np.int64)
         local = -np.ones(self.n, dtype=np.int64)
         local[nodes] = np.arange(nodes.size)
         keep = (local[self.uu] >= 0) & (local[self.vv] >= 0)
-        edges = list(
-            zip(
-                local[self.uu[keep]].tolist(),
-                local[self.vv[keep]].tolist(),
-                self.ww[keep].tolist(),
-            )
-        )
-        loops = {
-            int(local[i]): v for i, v in self.self_loops.items() if local[i] >= 0
-        }
-        return Graph.from_edges(nodes.size, edges, loops), nodes
+        edges = np.column_stack([local[self.uu[keep]], local[self.vv[keep]], self.ww[keep]])
+        loops = {int(local[i]): v for i, v in self.self_loops.items() if local[i] >= 0}
+        return Graph.from_edges(nodes.size, edges, loops)
 
     def connected_components(self) -> list[np.ndarray]:
         """Components as sorted node arrays, ordered by smallest member.
@@ -137,27 +136,35 @@ class Laplacian:
         return self.matrix.toarray()
 
 
+def inv_sqrt_degrees(g: Graph, kind: str) -> np.ndarray | None:
+    """D^{-1/2} (edge weights only) for the normalized kind, None for the combinatorial
+    one. Raises InvalidParams for any other kind, ZeroDegreeNode for an isolated node."""
+    if kind == COMBINATORIAL:
+        return None
+    if kind != NORMALIZED:
+        raise InvalidParams(f"unknown Laplacian kind {kind!r}")
+    deg = g.degrees()
+    zero = np.flatnonzero(deg == 0.0)
+    if zero.size:
+        raise ZeroDegreeNode(int(zero[0]))
+    return 1.0 / np.sqrt(deg)
+
+
 def build_laplacian(g: Graph, kind: str = COMBINATORIAL) -> Laplacian:
     """Assemble D - W + V, optionally normalized as D^{-1/2} L D^{-1/2}.
 
     The degree matrix D counts edge weights only; self-loops enter through
     the diagonal V. Symmetry is exact by construction.
     """
-    if kind not in (COMBINATORIAL, NORMALIZED):
-        raise InvalidParams(f"unknown Laplacian kind {kind!r}")
-    deg = g.degrees()
-    diag = deg.copy()
+    s = inv_sqrt_degrees(g, kind)
+    diag = g.degrees()
     for i, v in g.self_loops.items():
         diag[i] += v
     w = np.concatenate([-g.ww, -g.ww, diag])
     r = np.concatenate([g.uu, g.vv, np.arange(g.n)])
     c = np.concatenate([g.vv, g.uu, np.arange(g.n)])
     lap = sp.csr_matrix((w, (r, c)), shape=(g.n, g.n))
-    if kind == NORMALIZED:
-        zero = np.flatnonzero(deg == 0.0)
-        if zero.size:
-            raise ZeroDegreeNode(int(zero[0]))
-        s = 1.0 / np.sqrt(deg)
+    if s is not None:
         lap = sp.csr_matrix(sp.diags(s) @ lap @ sp.diags(s))
     lap.sum_duplicates()
     return Laplacian(matrix=lap)

@@ -13,10 +13,10 @@ components with empty interfaces.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, lobpcg
+from scipy.sparse.linalg import lobpcg
 
 from .errors import ConvergenceFailure, Disconnected, InvalidParams
 from .graph import Graph, build_laplacian, dense_eig
@@ -80,10 +80,7 @@ def fiedler_vector(g: Graph, seed: int = 0) -> np.ndarray:
     else:
         mat = lap.matrix
         diag = mat.diagonal()
-        minv = np.where(diag > 0.0, 1.0 / np.where(diag == 0.0, 1.0, diag), 1.0)
-        precond = LinearOperator(
-            (g.n, g.n), matvec=lambda x: minv * x, matmat=lambda x: minv[:, None] * x
-        )
+        minv = 1.0 / diag[:, None]  # connected and past _DENSE_FIEDLER_N: no zero degree
         rng = np.random.default_rng(seed)
         x0 = rng.standard_normal((g.n, 2))
         with warnings.catch_warnings():
@@ -92,7 +89,7 @@ def fiedler_vector(g: Graph, seed: int = 0) -> np.ndarray:
                 vals, vecs = lobpcg(
                     mat,
                     x0,
-                    M=precond,
+                    M=lambda x: minv * x,
                     Y=null[:, None],
                     largest=False,
                     maxiter=_FIEDLER_ITERS,
@@ -200,7 +197,7 @@ def build_plan(
     def recurse(nodes: np.ndarray, depth: int) -> int:
         if nodes.size < 2 or depth >= max_levels:
             return leaf(nodes)
-        sub, _ = g.induced_subgraph(nodes)
+        sub = g.induced_subgraph(nodes)
         comps = sub.connected_components()
         if len(comps) > 1:
             # components bridge with zero edges: pack into two balanced bins
@@ -251,13 +248,7 @@ def build_plan(
             "force_levels": force_levels,
             "quantiles": [float(q) for q in DEFAULT_QUANTILES],
             "cost": {"eig_coeff": EIG_COEFF, "merge_coeff": MERGE_COEFF},
-            "sparsify": None
-            if sparsify is None
-            else {
-                "keep_fraction": sparsify.keep_fraction,
-                "target_count": sparsify.target_count,
-                "eps_jl": sparsify.eps_jl,
-            },
+            "sparsify": None if sparsify is None else asdict(sparsify),
         },
     )
     out_graph = g if sparsify is None else _rebuild_graph(g, plan)
@@ -267,10 +258,7 @@ def build_plan(
 
 def _rebuild_graph(g: Graph, plan: MergePlan) -> Graph:
     """Original intra-leaf edges plus the plan's (reweighted) interfaces."""
-    edges: list[tuple[int, int, float]] = []
     same_leaf = plan.leaf_of[g.uu] == plan.leaf_of[g.vv]
-    for u, v, w in zip(g.uu[same_leaf], g.vv[same_leaf], g.ww[same_leaf]):
-        edges.append((int(u), int(v), float(w)))
-    for bridge_list in plan.interfaces.values():
-        edges.extend(bridge_list)
-    return Graph.from_edges(g.n, edges, g.self_loops)
+    u, v, w, _ = plan.bridge_arrays()
+    kept = np.column_stack([g.uu[same_leaf], g.vv[same_leaf], g.ww[same_leaf]])
+    return Graph.from_edges(g.n, np.vstack([kept, np.column_stack([u, v, w])]), g.self_loops)

@@ -402,6 +402,8 @@ def verify_spectral_bound(
     constant on each component of L' but not on each component of L has
     ratio 0, so the report reads ratio_min 0.0 and fails.
     """
+    if trials < 1:
+        raise InvalidParams(f"trials must be at least 1, got {trials}")
     a = _as_matrix(l_orig)
     b = _as_matrix(l_sparse)
     if a.shape != b.shape:

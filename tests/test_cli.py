@@ -19,6 +19,14 @@ def p3_file(tmp_path):
 
 
 class TestFactorizeCmd:
+    def test_nan_weight_file_exit_two(self, tmp_path, capsys):
+        # before this was refused, factorize failed in eigh: "did not converge"
+        path = tmp_path / "nan.txt"
+        path.write_text("3\n0 1 nan\n1 2 1.0\n")
+        assert main(["factorize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: line 3: edge endpoints and weights must be finite\n"
+
     def test_ba_verify_exit_zero(self, tmp_path, capsys):
         out = tmp_path / "f.json"
         code = main(
@@ -444,23 +452,10 @@ class TestPartitionCmd:
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CAUCHY_GFT_SEED", "11")
-        out1 = tmp_path / "a.json"
-        out2 = tmp_path / "b.json"
-        for out in (out1, out2):
-            assert main(
-                ["partition", "--ba", "80", "2", "1", "--out", str(out)]
-            ) == 0
-        assert json.loads(out1.read_text()) == json.loads(out2.read_text())
-        assert json.loads(out1.read_text())["config"]["seed"] == 11
-
-    def test_bad_env_seed_exit_two(self, monkeypatch, capsys):
-        monkeypatch.setenv("CAUCHY_GFT_SEED", "abc")
-        with pytest.raises(SystemExit) as exc:
-            main(["partition", "--ba", "20", "2", "0"])
-        assert exc.value.code == 2
-        assert "invalid int value: 'abc'" in capsys.readouterr().err
+    def test_zero_trial_bound_exit_two(self, capsys):
+        code = main(["partition", "--ba", "100", "2", "0", "--verify-bound", "--trials", "0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: trials must be at least 1")
 
 
 def test_readme_commands_parse():

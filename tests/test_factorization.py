@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from cauchygft import factorization
-from cauchygft.errors import DimensionMismatch, PlanMismatch, TooLarge, ZeroDegreeNode
+from cauchygft.errors import (
+    DimensionMismatch, InvalidParams, PlanMismatch, TooLarge, ZeroDegreeNode,
+)
 from cauchygft.factorization import (
     _DENSE_CACHE_MAX,
     FactorizedGft,
@@ -277,7 +279,7 @@ class TestStructure:
             ("intra_leaf_bridge", PlanMismatch, r"intra-leaf edge \(0, 1\) also in an"),
             ("weight", PlanMismatch, r"edge \(1, 2\) weight differs from the graph"),
             ("absent_edge", PlanMismatch, r"not present in graph: \[\(0, 3\)\]"),
-            ("kind", PlanMismatch, "unknown Laplacian kind 'bogus'"),
+            ("kind", InvalidParams, "unknown Laplacian kind 'bogus'"),
             ("isolated_normalized", ZeroDegreeNode, "node 3"),
             ("level_lambdas", PlanMismatch, "level_lambdas does not cover"),
             ("lambda_edited", PlanMismatch, "level_lambdas 2 is not ascending"),

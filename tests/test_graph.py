@@ -49,6 +49,59 @@ class TestGraph:
         with pytest.raises(InvalidParams):
             Graph.from_edges(3, [(0, 3, 1.0)])
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1)],  # one pair: an IndexError before
+            np.array([[0, 1], [1, 2], [0, 2]]),  # six numbers, but not two triples
+            [(0, 1, 1.0), (1, 2)],  # ragged
+            np.array([0, 1, 1.0]),  # one triple, not an (E, 3) array
+        ],
+    )
+    def test_rejects_input_that_is_not_triples(self, edges):
+        with pytest.raises(InvalidParams, match="edges must be"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize("w", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_weights(self, w):
+        with pytest.raises(InvalidParams, match="must be finite"):
+            Graph.from_edges(3, [(0, 1, w), (1, 2, 1.0)])
+        with pytest.raises(InvalidParams, match="must be finite"):
+            Graph.from_edges(3, np.array([(0, 1, 1.0), (1, 2, w)]))
+
+    @pytest.mark.parametrize("rho", [np.nan, np.inf])
+    def test_rejects_non_finite_self_loops(self, rho):
+        with pytest.raises(InvalidParams, match="self-loop weights must be nonnegative and finite"):
+            Graph.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)], {0: rho})
+
+    def test_array_and_list_input_agree(self):
+        edges = [(3, 1, 2.0), (0, 2, 0.1), (2, 1, 1e-300)]
+        g = Graph.from_edges(4, edges)
+        a = Graph.from_edges(4, np.array(edges))
+        assert same_edges(a, g)
+        assert (a.uu.dtype, a.vv.dtype, a.ww.dtype) == (np.int64, np.int64, np.float64)
+        empty = Graph.from_edges(4, np.zeros((0, 3)))
+        assert same_edges(empty, Graph.from_edges(4, []))
+        assert (empty.uu.dtype, empty.ww.dtype) == (np.int64, np.float64)
+
+    def test_induced_subgraph_on_unsorted_nodes(self):
+        g = barabasi_albert(40, 3, seed=2)
+        g = Graph.from_edges(g.n, np.column_stack([g.uu, g.vv, g.ww * 1.7]), {5: 0.25, 9: 2.0})
+        nodes = np.array([9, 31, 2, 17, 5, 0, 38, 12, 25, 3])
+        local = {int(x): i for i, x in enumerate(nodes)}
+        triples = [
+            (local[u], local[v], w)
+            for u, v, w in zip(g.uu.tolist(), g.vv.tolist(), g.ww.tolist())
+            if u in local and v in local
+        ]
+        sub = g.induced_subgraph(nodes)
+        want = Graph.from_edges(nodes.size, triples, {local[5]: 0.25, local[9]: 2.0})
+        assert sub.n == want.n and sub.self_loops == want.self_loops
+        assert same_edges(sub, want)
+        assert [a.dtype for a in (sub.uu, sub.vv, sub.ww)] == [
+            a.dtype for a in (want.uu, want.vv, want.ww)
+        ]
+
     def test_components(self):
         g = Graph.from_edges(5, [(0, 1, 1.0), (3, 4, 1.0)])
         comps = [c.tolist() for c in g.connected_components()]
@@ -210,6 +263,21 @@ class TestGraphIo:
         with pytest.raises(ParseError) as err:
             read_graph(str(path))
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("3\n0 1 nan\n1 2 1.0\n", 3),
+            ("3\n0 1 1.0\n1 2 inf\n", 3),
+            ("3\n0 1 1.0\n# selfloop 2 nan\n1 2 1.0\n", 4),
+        ],
+    )
+    def test_non_finite_weight_is_parse_error(self, tmp_path, text, line_no):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="must be .*finite") as err:
+            read_graph(str(path))
+        assert err.value.line_no == line_no
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
