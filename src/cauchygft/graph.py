@@ -56,7 +56,7 @@ class Graph:
             arr = np.asarray(edges, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise InvalidParams(f"edges must be (u, v, w) triples: {exc}") from exc
-        if arr.size == 0:
+        if arr.shape == (0,):  # an empty list
             arr = arr.reshape(0, 3)
         if arr.shape[1:] != (3,):
             raise InvalidParams(f"edges must be (u, v, w) triples, got shape {arr.shape}")

@@ -20,7 +20,7 @@ def p3_file(tmp_path):
 
 class TestFactorizeCmd:
     def test_nan_weight_file_exit_two(self, tmp_path, capsys):
-        # before this was refused, factorize failed in eigh: "did not converge"
+        # refused while reading, not left to fail in eigh
         path = tmp_path / "nan.txt"
         path.write_text("3\n0 1 nan\n1 2 1.0\n")
         assert main(["factorize", str(path)]) == 2

@@ -52,10 +52,11 @@ class TestGraph:
     @pytest.mark.parametrize(
         "edges",
         [
-            [(0, 1)],  # one pair: an IndexError before
+            [(0, 1)],  # one pair
             np.array([[0, 1], [1, 2], [0, 2]]),  # six numbers, but not two triples
             [(0, 1, 1.0), (1, 2)],  # ragged
             np.array([0, 1, 1.0]),  # one triple, not an (E, 3) array
+            np.zeros((0, 2)),  # empty, but pairs
         ],
     )
     def test_rejects_input_that_is_not_triples(self, edges):

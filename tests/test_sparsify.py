@@ -487,8 +487,7 @@ class TestSpectralBound:
 
     @pytest.mark.parametrize("n", [100, 400])  # dense extremes, samples only
     def test_zero_trials_refused(self, n):
-        # no direction is no evidence: the dense path reported ratio_min 1.0
-        # for L' = 3L, and the sampled path [1.0, 1.0] and a pass
+        # no direction is no evidence, whichever path would read the extremes
         lap = build_laplacian(barabasi_albert(n, 2, seed=0))
         with pytest.raises(InvalidParams, match="trials must be at least 1, got 0"):
             verify_spectral_bound(lap, 3.0 * lap.matrix, eps=0.5, trials=0, seed=0)
